@@ -19,10 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .bitmatrix import bits_to_symbols, build_permutation, unharvest
+from .bitmatrix import deinterleave
 from .ciphers import ALPHABET_SIZES, CipherParams, mod_inverse
-from .errors import NonLetterOutput, NotFound
-from .pipeline import CipherText, encrypt
+from .errors import NotFound
+from .pipeline import CipherText, _codes_to_lane, _symbols_to_bytes, encrypt
 
 # Relative letter frequencies in running English text (A..Z).
 ENGLISH_LETTER_FREQ = {
@@ -137,23 +137,6 @@ def is_degenerate_key(key: CipherParams) -> bool:
     return key.m == 1
 
 
-def _decode_lane(codes, mode: str) -> list[int]:
-    if mode == "byte":
-        return list(codes)
-    out = []
-    for code in codes:
-        if not 65 <= code <= 90:
-            raise NonLetterOutput(f"lane byte {code:#04x} is outside A-Z")
-        out.append(code - 65)
-    return out
-
-
-def _encode_plain(symbols, mode: str) -> bytes:
-    if mode == "byte":
-        return bytes(symbols)
-    return bytes(65 + s for s in symbols)
-
-
 def _check_caps(n: int, cap_b: int, cap_k: int) -> None:
     if not 1 <= cap_b < n:
         raise ValueError(f"cap_b must be in [1, {n}), got {cap_b}")
@@ -174,7 +157,7 @@ def brute_force(
     k <= cap_k, ra <= b, rc <= k.
 
     Lane agreement is the primary filter; only agreeing candidates are
-    scored.  The unharvest step does not depend on the key, so it runs
+    scored.  Lane extraction does not depend on the key, so it runs
     once and each candidate only re-decrypts the two symbol lanes.  The
     best score wins, ties broken by the smallest (m, b, k, ra, rc).
     Raises NotFound when nothing passes the filter (and min_score).
@@ -183,9 +166,9 @@ def brute_force(
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
 
-    bits_a, bits_b = unharvest(ciphertext.bits)
-    syms_a = _decode_lane(bits_to_symbols(bits_a), mode)
-    syms_b = _decode_lane(bits_to_symbols(bits_b), mode)
+    codes_a, codes_b = deinterleave(ciphertext.bits)
+    syms_a = _codes_to_lane(codes_a, mode)
+    syms_b = _codes_to_lane(codes_b, mode)
 
     # Caesar-lane candidates are cheap: walk rc for each k incrementally.
     caesar_variants = []
@@ -211,7 +194,7 @@ def brute_force(
                     tried += 1
                     if pa != pb:
                         continue
-                    text = _encode_plain(plain_a, mode)
+                    text = _symbols_to_bytes(plain_a, mode)
                     score = scorer(text)
                     if min_score is not None and score < min_score:
                         continue
@@ -253,17 +236,14 @@ def caesar_lane_attack(
     n = ALPHABET_SIZES[mode]
     start = time.perf_counter()
 
-    n_sym = ciphertext.n_symbols
-    perm = build_permutation(n_sym)
-    base = 8 * n_sym
-    lane_bits = [ciphertext.bits[perm.forward[base + i]] for i in range(8 * n_sym)]
-    syms = _decode_lane(bits_to_symbols(lane_bits), mode)
+    _, codes_b = deinterleave(ciphertext.bits)
+    syms = _codes_to_lane(codes_b, mode)
 
     best = None  # (score, shift, plaintext bytes)
     tried = 0
     for shift in range(n):
         tried += 1
-        text = _encode_plain([(s - shift) % n for s in syms], mode)
+        text = _symbols_to_bytes([(s - shift) % n for s in syms], mode)
         score = scorer(text)
         if best is None or score > best[0]:
             best = (score, shift, text)

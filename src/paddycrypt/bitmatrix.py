@@ -14,10 +14,11 @@ For one pair of lane bytes (a1..a8 affine, c1..c8 caesar):
 
     harvest:  a1 c8 | c7 a2 | a3 c6 | c5 a4 | a5 c4 | c3 a6 | a7 c2 | c1 a8
 
-Both directions are also exposed as one explicit bit permutation
-(build_permutation), so callers can apply or invert the whole stage as an
-index map.  The permutation depends only on the symbol count, never on the
-bit values.
+Cell (row 2i, column c) is bit 7-c of affine byte A[i] and cell (2i+1, c)
+is bit c of caesar byte B[i].  interleave and deinterleave use that closed
+form, one column (a bit plane of each lane) at a time, reversing odd
+(0-indexed) columns.  place, harvest and build_permutation do the same cell
+by cell; they are the reference that tests compare the closed form against.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from .errors import BadLength, LengthMismatch
 
 COLS = 8
 
-_BYTE_BITS = tuple(tuple((v >> (7 - i)) & 1 for i in range(8)) for v in range(256))
+_PLANES = tuple(bytes((v >> s) & 1 for v in range(256)) for s in range(COLS))
 
 
 def symbol_to_bits(s: int) -> list[int]:
     """8 bits of s, most significant first."""
     if not 0 <= s < 256:
         raise ValueError(f"symbol {s} outside [0, 256)")
-    return list(_BYTE_BITS[s])
+    return [(s >> (7 - i)) & 1 for i in range(8)]
 
 
 def bits_to_symbol(bits) -> int:
@@ -50,12 +51,7 @@ def bits_to_symbol(bits) -> int:
 
 
 def symbols_to_bits(symbols) -> list[int]:
-    out = []
-    for s in symbols:
-        if not 0 <= s < 256:
-            raise ValueError(f"symbol {s} outside [0, 256)")
-        out.extend(_BYTE_BITS[s])
-    return out
+    return [bit for s in symbols for bit in symbol_to_bits(s)]
 
 
 def bits_to_symbols(bits) -> list[int]:
@@ -193,12 +189,38 @@ def build_permutation(n_symbols: int) -> PermutationMap:
     return PermutationMap(tuple(forward), tuple(inverse))
 
 
+def interleave(codes_a: bytes, codes_b: bytes) -> tuple[int, ...]:
+    """Ciphertext bits for the affine and caesar lane bytes (harvest of place)."""
+    out = bytearray()
+    for col in range(COLS):
+        column = bytearray(2 * len(codes_a))
+        column[0::2] = codes_a.translate(_PLANES[7 - col])
+        column[1::2] = codes_b.translate(_PLANES[col])
+        out += column[::-1] if col % 2 else column
+    return tuple(out)
+
+
+def deinterleave(bits) -> tuple[bytes, bytes]:
+    """Inverse of interleave: ciphertext bits -> (affine, caesar) lane bytes.
+
+    Cells must be 0 or 1; CipherText checks that at construction.
+    """
+    data = bytes(bits)
+    if len(data) % 16:
+        raise BadLength(f"ciphertext bit count {len(data)} is not a multiple of 16")
+    rows = len(data) // COLS
+    value_a = value_b = 0
+    for col in range(COLS):
+        column = data[col * rows:(col + 1) * rows]
+        if col % 2:
+            column = column[::-1]
+        # Each plane byte is 0 or 1, so shifting by < 8 never carries.
+        value_a |= int.from_bytes(column[0::2], "big") << (7 - col)
+        value_b |= int.from_bytes(column[1::2], "big") << col
+    return value_a.to_bytes(rows // 2, "big"), value_b.to_bytes(rows // 2, "big")
+
+
 def unharvest(bits) -> tuple[list, list]:
     """Undo harvest and placement: ciphertext bits -> (affine, caesar) lanes."""
-    bits = list(bits)
-    if len(bits) % 16:
-        raise BadLength(f"ciphertext bit count {len(bits)} is not a multiple of 16")
-    perm = build_permutation(len(bits) // 16)
-    lane_pair = perm.invert(bits)
-    half = len(bits) // 2
-    return lane_pair[:half], lane_pair[half:]
+    codes_a, codes_b = deinterleave(bits)
+    return symbols_to_bits(codes_a), symbols_to_bits(codes_b)

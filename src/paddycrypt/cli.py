@@ -35,9 +35,10 @@ def _read_input(args) -> bytes:
 
 
 def _read_text_file(path: str) -> str:
+    # Undecodable bytes become U+FFFD, which the parsers reject (bar comments).
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read().decode("utf-8", "replace")
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return fh.read()
 
 
@@ -187,13 +188,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "crack":
+        try:
+            analysis._check_caps(pipeline.ALPHABET_SIZES[args.mode], args.cap_b, args.cap_k)
+        except ValueError as err:
+            parser.error(str(err))
     try:
         return args.func(args)
-    except CipherError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (CipherError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .bitmatrix import bits_to_symbols, build_permutation, symbols_to_bits, unharvest
+from .bitmatrix import deinterleave, interleave
 from .ciphers import (
     ALPHABET_SIZES,
     LANE_AFFINE,
@@ -38,51 +38,51 @@ KEY_FIELDS = ("mode", "n", "m", "b", "k", "ra", "rc")
 
 CIPHERTEXT_HEX_HEADER = "fmt=hex"
 
-_HEX_DIGITS = "0123456789abcdef"
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
 class CipherText:
-    """An encrypted message: 16 bits per plaintext symbol."""
+    """An encrypted message: 16 bits per plaintext symbol, each 0 or 1."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.bits) % 16:
             raise BadLength(f"ciphertext bit count {len(self.bits)} is not a multiple of 16")
+        try:
+            if bytes(self.bits).translate(None, b"\x00\x01"):
+                raise ValueError("stray cell")
+        except (TypeError, ValueError):
+            raise ParseError("ciphertext cells must be 0 or 1") from None
 
     @property
     def n_symbols(self) -> int:
         return len(self.bits) // 16
 
     def to_bitstring(self) -> str:
-        return "".join(map(str, self.bits))
+        return bytes(self.bits).translate(_BITS_TO_DIGITS).decode("ascii")
 
     def to_hex(self) -> str:
-        digits = []
-        for i in range(0, len(self.bits), 4):
-            b0, b1, b2, b3 = self.bits[i:i + 4]
-            digits.append(_HEX_DIGITS[b0 << 3 | b1 << 2 | b2 << 1 | b3])
-        return "".join(digits)
+        # The leading 1 keeps leading zeros and gives "" for no bits.
+        return format(int("1" + self.to_bitstring(), 2), "x")[1:]
 
     @classmethod
     def from_bitstring(cls, text: str) -> "CipherText":
-        bits = []
-        for ch in text:
-            if ch not in "01":
-                raise ParseError(f"ciphertext may contain only 0 and 1, got {ch!r}")
-            bits.append(ch == "1")
-        return cls(tuple(int(b) for b in bits))
+        bad = text.strip("01")
+        if bad:
+            raise ParseError(f"ciphertext may contain only 0 and 1, got {bad[0]!r}")
+        return cls(tuple(text.encode("ascii").translate(_DIGITS_TO_BITS)))
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":
-        bits = []
-        for ch in text.lower():
-            if ch not in _HEX_DIGITS:
-                raise ParseError(f"invalid hex digit {ch!r}")
-            v = _HEX_DIGITS.index(ch)
-            bits.extend(((v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1))
-        return cls(tuple(bits))
+        # int() would also take '_', signs and whitespace, so check first.
+        bad = text.strip(_HEX_DIGITS)
+        if bad:
+            raise ParseError(f"invalid hex digit {bad[0]!r}")
+        return cls.from_bitstring(format(int("1" + text, 16), "b")[1:])
 
 
 def _plaintext_to_symbols(plaintext, params: CipherParams) -> list[int]:
@@ -99,21 +99,15 @@ def _plaintext_to_symbols(plaintext, params: CipherParams) -> list[int]:
     return out
 
 
-def _symbols_to_plaintext(symbols, params: CipherParams) -> bytes:
-    if params.mode == "byte":
+def _symbols_to_bytes(symbols, mode: str) -> bytes:
+    # Plaintext, and equally the lane codes: letters travel as A-Z codes.
+    if mode == "byte":
         return bytes(symbols)
     return bytes(65 + s for s in symbols)
 
 
-def _lane_codes(symbols, params: CipherParams) -> list[int]:
-    # Byte value whose 8 bits will represent each lane symbol in the matrix.
-    if params.mode == "byte":
-        return list(symbols)
-    return [65 + s for s in symbols]
-
-
-def _codes_to_lane(codes, params: CipherParams) -> list[int]:
-    if params.mode == "byte":
+def _codes_to_lane(codes, mode: str) -> list[int]:
+    if mode == "byte":
         return list(codes)
     out = []
     for code in codes:
@@ -132,10 +126,8 @@ def encrypt(plaintext, key: CipherParams) -> CipherText:
     symbols = _plaintext_to_symbols(plaintext, key)
     lane_a = iterate_encrypt(symbols, key, LANE_AFFINE)
     lane_b = iterate_encrypt(symbols, key, LANE_CAESAR)
-    bits_a = symbols_to_bits(_lane_codes(lane_a, key))
-    bits_b = symbols_to_bits(_lane_codes(lane_b, key))
-    perm = build_permutation(len(symbols))
-    return CipherText(tuple(perm.apply(bits_a + bits_b)))
+    return CipherText(interleave(_symbols_to_bytes(lane_a, key.mode),
+                                 _symbols_to_bytes(lane_b, key.mode)))
 
 
 def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
@@ -144,14 +136,12 @@ def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
     Raises IntegrityMismatch when the lanes disagree, which any single
     corrupted bit or wrong key causes.
     """
-    bits_a, bits_b = unharvest(ciphertext.bits)
-    lane_a = _codes_to_lane(bits_to_symbols(bits_a), key)
-    lane_b = _codes_to_lane(bits_to_symbols(bits_b), key)
-    plain_a = iterate_decrypt(lane_a, key, LANE_AFFINE)
-    plain_b = iterate_decrypt(lane_b, key, LANE_CAESAR)
+    codes_a, codes_b = deinterleave(ciphertext.bits)
+    plain_a = iterate_decrypt(_codes_to_lane(codes_a, key.mode), key, LANE_AFFINE)
+    plain_b = iterate_decrypt(_codes_to_lane(codes_b, key.mode), key, LANE_CAESAR)
     if plain_a != plain_b:
         raise IntegrityMismatch("affine and caesar lanes disagree (corrupt data or wrong key)")
-    return _symbols_to_plaintext(plain_a, key)
+    return _symbols_to_bytes(plain_a, key.mode)
 
 
 def keygen(mode: str = "byte", seed=None) -> CipherParams:
@@ -215,10 +205,14 @@ def parse_key(text: str) -> CipherParams:
         raise ParseError(f"mode must be 'byte' or 'letters', got {mode!r}")
     numbers = {}
     for name in ("n", "m", "b", "k", "ra", "rc"):
+        value = fields[name]
         try:
-            numbers[name] = int(fields[name])
+            # int() alone would also take '_', signs and non-ASCII digits.
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(value)
+            numbers[name] = int(value)
         except ValueError:
-            raise ParseError(f"field {name}: not an integer: {fields[name]!r}") from None
+            raise ParseError(f"field {name}: not an integer: {value!r}") from None
     if numbers["n"] != ALPHABET_SIZES[mode]:
         raise InvalidKey(f"mode={mode} requires n={ALPHABET_SIZES[mode]}, got n={numbers['n']}")
     return CipherParams(**numbers)

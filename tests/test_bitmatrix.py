@@ -11,7 +11,9 @@ from paddycrypt.bitmatrix import (
     bits_to_symbol,
     bits_to_symbols,
     build_permutation,
+    deinterleave,
     harvest,
+    interleave,
     place,
     symbol_to_bits,
     symbols_to_bits,
@@ -220,6 +222,13 @@ class TestUnharvest:
     def test_bad_length(self):
         with pytest.raises(BadLength):
             unharvest([0] * 24)
+
+    def test_deinterleave_inverts_interleave(self):
+        rng = random.Random(21)
+        for n_sym in list(range(65)) + [4096]:
+            a = rng.randbytes(n_sym)
+            b = rng.randbytes(n_sym)
+            assert deinterleave(interleave(a, b)) == (a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

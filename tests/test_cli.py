@@ -156,6 +156,37 @@ class TestDiagnostics:
             run("encrypt", "--format", "morse", "--key", "k", "--text", "x")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("caps", [
+        ("--cap-b", "0"),
+        ("--cap-b", "300"),
+        ("--cap-k", "256"),
+        ("--mode", "letters", "--cap-b", "26"),
+        ("--mode", "letters", "--cap-k", "30"),
+    ])
+    def test_crack_caps_are_usage_errors(self, tmp_path, caps, capsys):
+        ct = tmp_path / "msg.ct"
+        ct.write_text(format_ciphertext(encrypt(b"FIELD", CipherParams(n=26, m=3, b=4, k=3, ra=1, rc=2))))
+        with pytest.raises(SystemExit) as exc:
+            run("crack", str(ct), *caps)
+        assert exc.value.code == 2
+        assert "cap_" in capsys.readouterr().err
+
+    def test_non_utf8_key_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.key"
+        bad.write_bytes(b"mode=byte\nn=256\nm=3\xff\nb=7\nk=5\nra=2\nrc=4\n")
+        code = run("encrypt", "--text", "x", "--key", str(bad))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_non_utf8_ciphertext_file(self, tmp_path, keyfile, capsys):
+        bad = tmp_path / "bad.ct"
+        bad.write_bytes(b"\xff" * 16)
+        for argv in (("decrypt", str(bad), "--key", keyfile), ("crack", str(bad))):
+            assert run(*argv) == 1
+            assert capsys.readouterr().err.startswith("error:")
+
     def test_both_input_and_text(self, tmp_path, keyfile, capsys):
         src = tmp_path / "p.txt"
         src.write_text("x")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paddycrypt.bitmatrix import build_permutation, unharvest
-from paddycrypt.ciphers import LANE_CAESAR, CipherParams, iterate_decrypt
+from paddycrypt.bitmatrix import build_permutation, harvest, place, symbols_to_bits, unharvest
+from paddycrypt.ciphers import LANE_AFFINE, LANE_CAESAR, CipherParams, iterate_decrypt, iterate_encrypt
 from paddycrypt.errors import (
     BadLength,
     IntegrityMismatch,
@@ -58,6 +58,19 @@ class TestEncrypt:
             data = rng.randbytes(length)
             assert len(encrypt(data, BYTE_KEY).bits) == 16 * length
 
+    @pytest.mark.parametrize("key", [BYTE_KEY, CipherParams(n=26, m=7, b=9, k=11, ra=4, rc=6)])
+    def test_matches_matrix_reference(self, key):
+        # closed-form layout vs planting and harvest cell by cell
+        rng = random.Random(key.n)
+        offset = 0 if key.n == 256 else 65  # letters travel as A-Z codes
+        for length in list(range(65)) + [4096]:
+            symbols = [rng.randrange(key.n) for _ in range(length)]
+            plaintext = bytes(offset + s for s in symbols)
+            codes_a = [offset + s for s in iterate_encrypt(symbols, key, LANE_AFFINE)]
+            codes_b = [offset + s for s in iterate_encrypt(symbols, key, LANE_CAESAR)]
+            expected = harvest(place(symbols_to_bits(codes_a), symbols_to_bits(codes_b)))
+            assert list(encrypt(plaintext, key).bits) == expected
+
 
 class TestLettersMode:
     KEY = CipherParams(n=26, m=7, b=10, k=17, ra=4, rc=9)
@@ -88,6 +101,11 @@ class TestDecrypt:
     def test_rejects_bad_length(self):
         with pytest.raises(BadLength):
             CipherText((0,) * 24)
+
+    @pytest.mark.parametrize("cell", [2, -1, "1"])
+    def test_rejects_non_bit_cells(self, cell):
+        with pytest.raises(ParseError):
+            CipherText((cell,) * 16)
 
     def test_single_bit_corruption_never_silent(self):
         key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
@@ -223,6 +241,11 @@ class TestKeyFile:
             "mode=byte\nmode=byte\nn=256\nm=3\nb=7\nk=5\nra=2\nrc=4\n",  # dup
             "mode byte\n",                                       # no '='
             "mode=octal\nn=256\nm=3\nb=7\nk=5\nra=2\nrc=4\n",   # bad mode
+            "mode=byte\nn=256\nm=1_1\nb=7\nk=5\nra=2\nrc=4\n",   # int() takes '_'
+            "mode=byte\nn=256\nm=+3\nb=7\nk=5\nra=2\nrc=4\n",    # sign
+            "mode=byte\nn=256\nm=\u0663\nb=7\nk=5\nra=2\nrc=4\n",  # Arabic-Indic 3
+            pytest.param("mode=byte\nn=256\nm=" + "9" * 5000 + "\nb=7\nk=5\nra=2\nrc=4\n",
+                         id="past-int-digit-limit"),
         ],
     )
     def test_parse_errors(self, text):
@@ -255,6 +278,13 @@ class TestCipherTextFormats:
             parse_ciphertext("010a" * 4)
         with pytest.raises(ParseError):
             parse_ciphertext("fmt=hex\nzz\n")
+        # int() would accept each of these in base 16 or 2
+        for text in ("a_b", "+f", " f", "0xff", "\uff11"):
+            with pytest.raises(ParseError):
+                CipherText.from_hex(text)
+        for text in ("a_b", "+f", " f", "0xff", "\uff11", "0_1", "+1", " 1", "0b1"):
+            with pytest.raises(ParseError):
+                CipherText.from_bitstring(text)
         with pytest.raises(ValueError):
             format_ciphertext(CipherText(()), "base64")
 
