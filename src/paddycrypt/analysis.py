@@ -20,9 +20,16 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bitmatrix import deinterleave
-from .ciphers import ALPHABET_SIZES, CipherParams, mod_inverse
-from .errors import NotFound
-from .pipeline import CipherText, _codes_to_lane, _symbols_to_bytes, encrypt
+from .ciphers import (
+    ALPHABET_SIZES,
+    LANE_AFFINE,
+    LANE_CAESAR,
+    CipherParams,
+    check_lane_codes,
+    lane_table,
+)
+from .errors import CipherError, NotFound
+from .pipeline import CipherText, encrypt
 
 # Relative letter frequencies in running English text (A..Z).
 ENGLISH_LETTER_FREQ = {
@@ -84,7 +91,8 @@ def frequency_profile(data, n: int = 256) -> list[float]:
     """Normalized value histogram.
 
     Byte or symbol sequences profile over [0, n); CipherText inputs are
-    profiled per bit (n=2), exposing the ciphertext's 0/1 balance.
+    profiled per bit (n=2), exposing the ciphertext's 0/1 balance.  Raises
+    CipherError for a value outside [0, n).
     """
     if isinstance(data, CipherText):
         values = data.bits
@@ -93,6 +101,8 @@ def frequency_profile(data, n: int = 256) -> list[float]:
         values = data
     counts = [0] * n
     for v in values:
+        if not 0 <= v < n:
+            raise CipherError(f"value {v} outside [0, {n})")
         counts[v] += 1
     total = len(values)
     if not total:
@@ -167,40 +177,37 @@ def brute_force(
     start = time.perf_counter()
 
     codes_a, codes_b = deinterleave(ciphertext.bits)
-    syms_a = _codes_to_lane(codes_a, mode)
-    syms_b = _codes_to_lane(codes_b, mode)
+    check_lane_codes(codes_a + codes_b, n)
 
     # Caesar-lane candidates are cheap: walk rc for each k incrementally.
     caesar_variants = []
     for k in range(1, cap_k + 1):
-        plain = syms_b
+        step = lane_table(CipherParams(n, 1, 1, k, 1, 1), LANE_CAESAR, decrypt=True)
+        pb = codes_b
         for rc in range(1, k + 1):
-            plain = [(s - k) % n for s in plain]
-            caesar_variants.append((k, rc, bytes(plain)))
+            pb = pb.translate(step)
+            caesar_variants.append((k, rc, pb))
 
     best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
     tried = 0
     for m in range(1, n):
         if gcd(m, n) != 1:
             continue
-        inv = mod_inverse(m, n)
         for b in range(1, cap_b + 1):
-            step = [(inv * (s - b)) % n for s in range(n)]
-            plain_a = syms_a
+            step = lane_table(CipherParams(n, m, b, 1, 1, 1), LANE_AFFINE, decrypt=True)
+            pa = codes_a
             for ra in range(1, b + 1):
-                plain_a = [step[s] for s in plain_a]
-                pa = bytes(plain_a)
+                pa = pa.translate(step)
                 for k, rc, pb in caesar_variants:
                     tried += 1
                     if pa != pb:
                         continue
-                    text = _symbols_to_bytes(plain_a, mode)
-                    score = scorer(text)
+                    score = scorer(pa)
                     if min_score is not None and score < min_score:
                         continue
                     order = (m, b, k, ra, rc)
                     if best is None or score > best[0] or (score == best[0] and order < best[1]):
-                        best = (score, order, text)
+                        best = (score, order, pa)
 
     elapsed = time.perf_counter() - start
     if best is None:
@@ -237,16 +244,18 @@ def caesar_lane_attack(
     start = time.perf_counter()
 
     _, codes_b = deinterleave(ciphertext.bits)
-    syms = _codes_to_lane(codes_b, mode)
+    check_lane_codes(codes_b, n)
+    step = lane_table(CipherParams(n, 1, 1, 1, 1, 1), LANE_CAESAR, decrypt=True)
 
     best = None  # (score, shift, plaintext bytes)
     tried = 0
+    text = codes_b
     for shift in range(n):
         tried += 1
-        text = _symbols_to_bytes([(s - shift) % n for s in syms], mode)
         score = scorer(text)
         if best is None or score > best[0]:
             best = (score, shift, text)
+        text = text.translate(step)
 
     elapsed = time.perf_counter() - start
     if min_score is not None and best[0] < min_score:

@@ -4,6 +4,12 @@ Symbols are plain integers in [0, n); a symbol stream is any sequence of
 them.  Two alphabets are supported: n=256 (byte mode, symbols are raw byte
 values) and n=26 (letters mode, symbols are letter indices A=0 .. Z=25).
 
+Each symbol travels through the cipher as its lane code, one byte:
+``LANE_CODES[n][s]``, which is the byte itself for n=256 and the letter
+"A".."Z" for n=26.  A lane map is therefore a 256-entry ``bytes.translate``
+table over lane codes that leaves every other byte alone, and a whole lane
+is mapped with one ``translate`` call.
+
 Each lane of the combined scheme re-applies its single-step map a secret
 number of times (``ra`` for the affine lane, ``rc`` for the caesar lane),
 so one (m, b, k) family yields a different ciphertext for every iteration
@@ -15,12 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidKey, IterationBoundExceeded, NoInverse
+from .errors import InvalidKey, IterationBoundExceeded, NoInverse, NonLetterOutput
 
 LANE_AFFINE = "affine"
 LANE_CAESAR = "caesar"
 
 ALPHABET_SIZES = {"byte": 256, "letters": 26}
+
+# The byte each symbol travels as, indexed by alphabet size.
+LANE_CODES = {256: bytes(range(256)), 26: b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
 
 
 def mod_inverse(m: int, n: int) -> int:
@@ -107,58 +116,60 @@ class CipherParams:
         return cls(n=n, m=m, b=b, k=b, ra=ra, rc=rc)
 
 
-def _compose(outer: list[int], inner: list[int]) -> list[int]:
-    # (outer . inner)[s] = outer[inner[s]]
-    return [outer[s] for s in inner]
-
-
-def _iterated_table(step: list[int], rounds: int) -> list[int]:
+def _iterated_table(step: bytes, rounds: int) -> bytes:
     """Lookup table for `step` applied `rounds` times (square-and-multiply
     on map composition; never touches the algebraic closed form)."""
-    result = list(range(len(step)))
+    result = LANE_CODES[256]
     power = step
     while rounds:
         if rounds & 1:
-            result = _compose(power, result)
+            result = result.translate(power)
         rounds >>= 1
         if rounds:
-            power = _compose(power, power)
+            power = power.translate(power)
     return result
 
 
-def _step_table(params: CipherParams, lane: str, decrypt: bool) -> list[int]:
+def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
+    """The lane's step map applied ra (affine) or rc (caesar) times, as a
+    ``bytes.translate`` table over lane codes; decrypt=True inverts it."""
     n = params.n
     if lane == LANE_AFFINE:
+        rounds, bound, name = params.ra, params.b, "ra"
         if decrypt:
             inv = mod_inverse(params.m, n)
-            return [(inv * (s - params.b)) % n for s in range(n)]
-        return [(params.m * s + params.b) % n for s in range(n)]
-    if lane == LANE_CAESAR:
-        shift = -params.k if decrypt else params.k
-        return [(s + shift) % n for s in range(n)]
-    raise ValueError(f"unknown lane {lane!r}")
-
-
-def _lane_rounds(params: CipherParams, lane: str) -> int:
-    if lane == LANE_AFFINE:
-        rounds, bound, name = params.ra, params.b, "ra"
+            step = [(inv * (s - params.b)) % n for s in range(n)]
+        else:
+            step = [(params.m * s + params.b) % n for s in range(n)]
     elif lane == LANE_CAESAR:
         rounds, bound, name = params.rc, params.k, "rc"
+        shift = -params.k if decrypt else params.k
+        step = [(s + shift) % n for s in range(n)]
     else:
         raise ValueError(f"unknown lane {lane!r}")
     # Construction already enforces this; re-checked so a tampered key
     # object still fails here instead of producing undecryptable output.
     if not 1 <= rounds <= bound:
         raise IterationBoundExceeded(f"{name}={rounds} outside [1, {bound}]")
-    return rounds
+    codes = LANE_CODES[n]
+    return _iterated_table(bytes.maketrans(codes, bytes(codes[s] for s in step)), rounds)
 
 
-def _map_stream(stream, table: list[int], n: int) -> list[int]:
+def check_lane_codes(codes: bytes, n: int) -> None:
+    """Raise NonLetterOutput unless every byte is a lane code of alphabet n."""
+    bad = codes.translate(None, LANE_CODES[n])
+    if bad:
+        raise NonLetterOutput(f"lane byte {bad[0]:#04x} is outside A-Z")
+
+
+def _map_stream(stream, table: bytes, n: int) -> list[int]:
+    codes = LANE_CODES[n]
     out = []
     for s in stream:
         if not 0 <= s < n:
             raise ValueError(f"symbol {s} outside [0, {n})")
-        out.append(table[s])
+        # Lane codes are consecutive, so code - codes[0] is the symbol.
+        out.append(table[codes[s]] - codes[0])
     return out
 
 
@@ -167,13 +178,9 @@ def iterate_encrypt(stream, params: CipherParams, lane: str) -> list[int]:
 
     r is params.ra on the affine lane and params.rc on the caesar lane.
     """
-    rounds = _lane_rounds(params, lane)
-    table = _iterated_table(_step_table(params, lane, decrypt=False), rounds)
-    return _map_stream(stream, table, params.n)
+    return _map_stream(stream, lane_table(params, lane), params.n)
 
 
 def iterate_decrypt(stream, params: CipherParams, lane: str) -> list[int]:
     """Inverse of iterate_encrypt for the same key and lane."""
-    rounds = _lane_rounds(params, lane)
-    table = _iterated_table(_step_table(params, lane, decrypt=True), rounds)
-    return _map_stream(stream, table, params.n)
+    return _map_stream(stream, lane_table(params, lane, decrypt=True), params.n)

@@ -8,6 +8,7 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, pipeline
@@ -18,14 +19,17 @@ def _add_input_args(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument("input", nargs="?", metavar="INPUT",
                         help=f"{what} path, or - for stdin")
     parser.add_argument("--text", metavar="TEXT",
-                        help=f"inline {what} instead of a path (UTF-8)")
+                        help=f"inline {what} instead of a path (its argv bytes)")
 
 
 def _read_input(args) -> bytes:
     if args.text is not None and args.input is not None:
         raise CipherError("give either an input path or --text, not both")
     if args.text is not None:
-        return args.text.encode("utf-8")
+        try:  # the exact argv bytes, even ones that are not UTF-8
+            return os.fsencode(args.text)
+        except UnicodeEncodeError as err:
+            raise CipherError(f"--text cannot be encoded: {err}") from None
     if args.input is None:
         raise CipherError("no input: give a path, -, or --text")
     if args.input == "-":
@@ -190,6 +194,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Some argparse versions turn an explicit "--text=--" into []; the
+    # value given was the literal "--".
+    for name, value in vars(args).items():
+        if value == []:
+            setattr(args, name, "--")
     if args.command == "crack":
         try:
             analysis._check_caps(pipeline.ALPHABET_SIZES[args.mode], args.cap_b, args.cap_k)

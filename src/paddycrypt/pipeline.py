@@ -6,8 +6,8 @@ an integrity check: the two recovered plaintexts must agree bit for bit,
 otherwise the data was corrupted or the key is wrong.
 
 Byte mode (n=256) operates on raw bytes.  Letters mode (n=26) accepts only
-letters, folds them to uppercase, and carries lane symbols as the letter's
-character code so they survive the 8-bit matrix stage.
+letters and folds them to uppercase, which makes them the lane codes the
+8-bit matrix stage carries.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from .ciphers import (
     ALPHABET_SIZES,
     LANE_AFFINE,
     LANE_CAESAR,
+    LANE_CODES,
     CipherParams,
-    iterate_decrypt,
-    iterate_encrypt,
+    check_lane_codes,
+    lane_table,
 )
 from .errors import (
     BadLength,
     IntegrityMismatch,
     InvalidKey,
     NonLetterInput,
-    NonLetterOutput,
     ParseError,
 )
 
@@ -41,6 +41,7 @@ CIPHERTEXT_HEX_HEADER = "fmt=hex"
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_LETTERS = LANE_CODES[26] + LANE_CODES[26].lower()
 
 
 @dataclass(frozen=True)
@@ -85,49 +86,20 @@ class CipherText:
         return cls.from_bitstring(format(int("1" + text, 16), "b")[1:])
 
 
-def _plaintext_to_symbols(plaintext, params: CipherParams) -> list[int]:
-    if params.mode == "byte":
-        return list(plaintext)
-    out = []
-    for byte in plaintext:
-        if 65 <= byte <= 90:
-            out.append(byte - 65)
-        elif 97 <= byte <= 122:
-            out.append(byte - 97)
-        else:
-            raise NonLetterInput(f"byte {byte:#04x} is not a letter")
-    return out
-
-
-def _symbols_to_bytes(symbols, mode: str) -> bytes:
-    # Plaintext, and equally the lane codes: letters travel as A-Z codes.
-    if mode == "byte":
-        return bytes(symbols)
-    return bytes(65 + s for s in symbols)
-
-
-def _codes_to_lane(codes, mode: str) -> list[int]:
-    if mode == "byte":
-        return list(codes)
-    out = []
-    for code in codes:
-        if not 65 <= code <= 90:
-            raise NonLetterOutput(f"lane byte {code:#04x} is outside A-Z")
-        out.append(code - 65)
-    return out
-
-
 def encrypt(plaintext, key: CipherParams) -> CipherText:
     """Encrypt plaintext bytes under key.
 
     The affine and caesar lanes each encrypt the whole message; their bit
     expansions are interleaved through the planting/harvest permutation.
     """
-    symbols = _plaintext_to_symbols(plaintext, key)
-    lane_a = iterate_encrypt(symbols, key, LANE_AFFINE)
-    lane_b = iterate_encrypt(symbols, key, LANE_CAESAR)
-    return CipherText(interleave(_symbols_to_bytes(lane_a, key.mode),
-                                 _symbols_to_bytes(lane_b, key.mode)))
+    data = bytes(plaintext)
+    if key.mode == "letters":
+        bad = data.translate(None, _LETTERS)
+        if bad:
+            raise NonLetterInput(f"byte {bad[0]:#04x} is not a letter")
+        data = data.upper()
+    return CipherText(interleave(data.translate(lane_table(key, LANE_AFFINE)),
+                                 data.translate(lane_table(key, LANE_CAESAR))))
 
 
 def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
@@ -137,11 +109,12 @@ def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
     corrupted bit or wrong key causes.
     """
     codes_a, codes_b = deinterleave(ciphertext.bits)
-    plain_a = iterate_decrypt(_codes_to_lane(codes_a, key.mode), key, LANE_AFFINE)
-    plain_b = iterate_decrypt(_codes_to_lane(codes_b, key.mode), key, LANE_CAESAR)
+    check_lane_codes(codes_a + codes_b, key.n)
+    plain_a = codes_a.translate(lane_table(key, LANE_AFFINE, decrypt=True))
+    plain_b = codes_b.translate(lane_table(key, LANE_CAESAR, decrypt=True))
     if plain_a != plain_b:
         raise IntegrityMismatch("affine and caesar lanes disagree (corrupt data or wrong key)")
-    return _symbols_to_bytes(plain_a, key.mode)
+    return plain_a
 
 
 def keygen(mode: str = "byte", seed=None) -> CipherParams:

@@ -23,7 +23,7 @@ from paddycrypt.analysis import (
 )
 from paddycrypt.bitmatrix import build_permutation
 from paddycrypt.ciphers import CipherParams
-from paddycrypt.errors import NotFound
+from paddycrypt.errors import CipherError, IntegrityMismatch, NotFound
 from paddycrypt.pipeline import CipherText, decrypt, encrypt, keygen
 
 ENGLISH = b"the quick brown fox jumps over the lazy dog"
@@ -63,6 +63,15 @@ class TestFrequencyProfile:
 
     def test_empty(self):
         assert frequency_profile(b"") == [0.0] * 256
+
+    @pytest.mark.parametrize("data,n,value", [
+        (b"\xff", 26, "255"),
+        (b"ab", 0, "97"),
+        ([-1], 4, "-1"),
+    ])
+    def test_rejects_out_of_range_values(self, data, n, value):
+        with pytest.raises(CipherError, match=value):
+            frequency_profile(data, n=n)
 
     def test_ciphertext_bit_balance(self):
         # 625 random bytes -> 10000 ciphertext bits; 3-sigma binomial band
@@ -130,6 +139,40 @@ class TestBruteForce:
         ct = encrypt(message, key)
         result = brute_force(ct, mode="letters", cap_b=4, cap_k=4)
         assert result.plaintext == message
+
+
+def grid_oracle(ct, scorer, mode, cap_b, cap_k):
+    """Reference for brute_force: decrypt under every grid key, score each
+    key whose lanes agree, and take the best score, ties going to the
+    smallest (m, b, k, ra, rc)."""
+    n = 256 if mode == "byte" else 26
+    scored = []
+    for m in range(1, n):
+        if math.gcd(m, n) != 1:
+            continue
+        for b in range(1, cap_b + 1):
+            for k in range(1, cap_k + 1):
+                for ra in range(1, b + 1):
+                    for rc in range(1, k + 1):
+                        try:
+                            text = decrypt(ct, CipherParams(n, m, b, k, ra, rc))
+                        except IntegrityMismatch:
+                            continue
+                        scored.append((scorer(text), (m, b, k, ra, rc), text))
+    score, order, text = min(scored, key=lambda c: (-c[0], c[1]))
+    return CipherParams(n, *order), text, score
+
+
+@pytest.mark.parametrize("mode,ct,scorer", [
+    ("byte", encrypt(b"grid search", CipherParams(256, 5, 3, 2, 2, 1)), english_score),
+    ("byte", CipherText((0,) * 128), english_score),  # every lane byte ties
+    ("letters", encrypt(b"PADDYFIELD", CipherParams(26, 7, 2, 3, 1, 3)), english_score),
+    ("letters", encrypt(b"AAAA", CipherParams(26, 3, 3, 1, 2, 1)), printable_ratio),
+], ids=["byte-english", "byte-all-zero", "letters-english", "letters-ties"])
+def test_brute_force_matches_decrypt_oracle(mode, ct, scorer):
+    result = brute_force(ct, scorer, mode=mode, cap_b=3, cap_k=3)
+    key, text, score = grid_oracle(ct, scorer, mode, 3, 3)
+    assert (result.recovered_key, result.plaintext, result.score) == (key, text, score)
 
 
 class TestCaesarLaneAttack:

@@ -53,6 +53,18 @@ class TestRoundTrip:
         assert captured.err == ""
         assert len(captured.out.strip()) == 32
 
+    def test_inline_text_keeps_undecodable_argv_bytes(self, tmp_path, keyfile, capsys):
+        # On POSIX, Python decodes argv byte 0xff as the lone surrogate U+DCFF.
+        ct = tmp_path / "msg.ct"
+        out = tmp_path / "plain.out"
+        assert run("encrypt", "--text", "\udcff", "--key", keyfile, "-o", str(ct)) == 0
+        assert run("decrypt", str(ct), "--key", keyfile, "-o", str(out)) == 0
+        assert out.read_bytes() == b"\xff"
+        letters = tmp_path / "letters.key"
+        letters.write_text(serialize_key(CipherParams(n=26, m=3, b=7, k=5, ra=2, rc=4)))
+        assert run("encrypt", "--text", "\udcff", "--key", str(letters)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_identical_invocations_identical_output(self, tmp_path, keyfile):
         src = tmp_path / "plain.txt"
         src.write_bytes(b"same seed, same furrow")

@@ -1,0 +1,113 @@
+"""Error contract, checked by fuzzing: bad input fails as a CipherError in
+the library and as exit code 1 from the CLI, never as a traceback."""
+
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from paddycrypt.cli import main
+from paddycrypt.errors import CipherError
+from paddycrypt.pipeline import (
+    KEY_FIELDS,
+    CipherParams,
+    decrypt,
+    encrypt,
+    format_ciphertext,
+    parse_ciphertext,
+    parse_key,
+    serialize_key,
+)
+
+KEYS = (
+    CipherParams(n=256, m=3, b=7, k=5, ra=2, rc=4),
+    CipherParams(n=26, m=5, b=4, k=3, ra=2, rc=1),
+)
+
+# Key-file-like text: name=value lines mixed with arbitrary ones.
+key_texts = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(
+            st.text(max_size=12),
+            st.builds(
+                "{}={}".format,
+                st.sampled_from(KEY_FIELDS),
+                st.one_of(st.integers(-3, 300).map(str), st.sampled_from(["byte", "letters"]),
+                          st.text(max_size=4)),
+            ),
+        ),
+        max_size=9,
+    ).map("\n".join),
+    st.sampled_from(KEYS).map(serialize_key),
+)
+
+# Ciphertext-file-like text: bit strings, hex bodies and arbitrary text.
+ciphertext_texts = st.one_of(
+    st.text(),
+    st.text(alphabet="01 \n", max_size=80),
+    st.text(alphabet="0123456789abcdefxyz_ \n", max_size=40).map("fmt=hex\n".__add__),
+    st.builds(lambda p, key, fmt: format_ciphertext(encrypt(p, key), fmt),
+              st.text(alphabet="ADGKPZadz", max_size=6).map(str.encode),
+              st.sampled_from(KEYS), st.sampled_from(["bits", "hex"])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=key_texts)
+def test_parse_key_raises_only_cipher_errors(text):
+    try:
+        parse_key(text)
+    except CipherError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=ciphertext_texts, key=st.sampled_from(KEYS))
+def test_parse_and_decrypt_raise_only_cipher_errors(text, key):
+    try:
+        decrypt(parse_ciphertext(text), key)
+    except CipherError:
+        pass
+
+
+COMMANDS = (
+    ("decrypt", "{ct}", "--key", "{key}"),
+    ("crack", "{ct}", "--cap-b", "2", "--cap-k", "2"),
+    ("crack", "{ct}", "--mode", "letters", "--cap-b", "2", "--cap-k", "2"),
+    ("freq", "{ct}", "--bits"),
+    ("encrypt", "{ct}", "--key", "{key}"),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    key_bytes=st.one_of(st.binary(max_size=64), key_texts.map(lambda t: t.encode("utf-8", "surrogatepass"))),
+    ct_bytes=st.one_of(st.binary(max_size=64), ciphertext_texts.map(lambda t: t.encode("utf-8", "surrogatepass"))),
+)
+def test_cli_on_arbitrary_files_exits_0_or_1(command, key_bytes, ct_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("key", "ct", "out")}
+        with open(paths["key"], "wb") as fh:
+            fh.write(key_bytes)
+        with open(paths["ct"], "wb") as fh:
+            fh.write(ct_bytes)
+        argv = [arg.format(**paths) for arg in command] + ["-o", paths["out"]]
+        assert main(argv) in (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]))),
+    key=st.sampled_from(KEYS),
+)
+@example(text="--", key=KEYS[0])
+def test_cli_inline_text_exits_0_or_1(text, key):
+    with tempfile.TemporaryDirectory() as tmp:
+        keyfile = os.path.join(tmp, "key")
+        with open(keyfile, "w", encoding="utf-8") as fh:
+            fh.write(serialize_key(key))
+        argv = ["encrypt", f"--text={text}", "--key", keyfile, "-o", os.path.join(tmp, "out")]
+        assert main(argv) in (0, 1)
