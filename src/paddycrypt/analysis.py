@@ -8,16 +8,18 @@ effective shift (r*k) mod n; half the ciphertext therefore falls to at
 most n trials no matter how the iteration counts were chosen.
 
 Attack scorers are plain callables bytes -> float (higher is better);
-printable_ratio and english_score are the built-ins.
+printable_ratio and english_score are the built-ins.  A scorer must be
+pure: the same bytes always get the same score, because an attack may
+score each distinct candidate text only once.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from string import ascii_lowercase, ascii_uppercase
 
 from .bitmatrix import deinterleave
 from .ciphers import (
@@ -50,20 +52,26 @@ def printable_ratio(data: bytes) -> float:
     return ok / len(data)
 
 
+# Letters folded to lowercase, every other byte deleted: the argument pair
+# of data.translate that leaves only the letters.
+_FOLD_TO_LOWER = bytes.maketrans(ascii_uppercase.encode(), ascii_lowercase.encode())
+_NON_LETTERS = bytes(range(256)).translate(None, (ascii_uppercase + ascii_lowercase).encode())
+_LETTER_FREQ_BY_CODE = [(ord(ch), freq) for ch, freq in ENGLISH_LETTER_FREQ.items()]
+
+
 def chi_squared_english(data: bytes) -> float:
     """Chi-squared distance between the data's letter histogram and English.
 
     Case-insensitive; returns inf when the data contains no letters.
     """
-    letters = [byte | 0x20 for byte in data if 65 <= byte <= 90 or 97 <= byte <= 122]
+    letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
     if not letters:
         return math.inf
-    counts = Counter(letters)
     total = len(letters)
     chi2 = 0.0
-    for ch, freq in ENGLISH_LETTER_FREQ.items():
+    for code, freq in _LETTER_FREQ_BY_CODE:
         expected = total * freq
-        diff = counts.get(ord(ch), 0) - expected
+        diff = letters.count(code) - expected
         chi2 += diff * diff / expected
     return chi2
 
@@ -77,9 +85,7 @@ def english_score(data: bytes) -> float:
     """
     if not data:
         return 0.0
-    letterish = sum(
-        1 for byte in data if 65 <= byte <= 90 or 97 <= byte <= 122 or byte == 32
-    )
+    letterish = len(data.translate(None, _NON_LETTERS)) + data.count(32)
     coverage = letterish / len(data)
     chi2 = chi_squared_english(data)
     if math.isinf(chi2):
@@ -167,10 +173,13 @@ def brute_force(
     k <= cap_k, ra <= b, rc <= k.
 
     Lane agreement is the primary filter; only agreeing candidates are
-    scored.  Lane extraction does not depend on the key, so it runs
-    once and each candidate only re-decrypts the two symbol lanes.  The
-    best score wins, ties broken by the smallest (m, b, k, ra, rc).
-    Raises NotFound when nothing passes the filter (and min_score).
+    scored.  The filter is a join on lane text: every caesar-lane
+    candidate (k, rc) is decrypted once and indexed by the text it gives,
+    so each affine-lane candidate (m, b, ra) costs one dict lookup rather
+    than one comparison per (k, rc).  candidates_tried still counts every
+    grid key.  Each distinct agreeing text is scored once.  The best score
+    wins, ties broken by the smallest (m, b, k, ra, rc).  Raises NotFound
+    when nothing passes the filter (and min_score).
     """
     n = ALPHABET_SIZES[mode]
     _check_caps(n, cap_b, cap_k)
@@ -179,35 +188,52 @@ def brute_force(
     codes_a, codes_b = deinterleave(ciphertext.bits)
     check_lane_codes(codes_a + codes_b, n)
 
-    # Caesar-lane candidates are cheap: walk rc for each k incrementally.
-    caesar_variants = []
+    # unshift[j] subtracts j: the caesar step for k = j and the first half
+    # of the affine step for b = j.
+    unshift = [None] + [
+        lane_table(CipherParams(n, 1, 1, j, 1, 1), LANE_CAESAR, decrypt=True)
+        for j in range(1, max(cap_b, cap_k) + 1)
+    ]
+
+    # Caesar-lane text -> its first (k, rc) in walk order.  Keys sharing a
+    # text share its score, and (k, rc) grows along the walk, so the first
+    # is the only one that can win the tie-break.  At most n texts exist.
+    caesar_keys = {}
     for k in range(1, cap_k + 1):
-        step = lane_table(CipherParams(n, 1, 1, k, 1, 1), LANE_CAESAR, decrypt=True)
         pb = codes_b
         for rc in range(1, k + 1):
-            pb = pb.translate(step)
-            caesar_variants.append((k, rc, pb))
+            pb = pb.translate(unshift[k])
+            caesar_keys.setdefault(pb, (k, rc))
+    caesar_count = cap_k * (cap_k + 1) // 2
 
+    shift_up = lane_table(CipherParams(n, 1, 1, 1, 1, 1), LANE_CAESAR)
+    scores = {}  # agreeing plaintext -> scorer(plaintext)
     best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
     tried = 0
     for m in range(1, n):
         if gcd(m, n) != 1:
             continue
+        # x -> x + 1 -> (x + 1 - 1) / m: multiplies by the inverse of m.
+        unscale = shift_up.translate(
+            lane_table(CipherParams(n, m, 1, 1, 1, 1), LANE_AFFINE, decrypt=True))
         for b in range(1, cap_b + 1):
-            step = lane_table(CipherParams(n, m, b, 1, 1, 1), LANE_AFFINE, decrypt=True)
+            step = unshift[b].translate(unscale)
             pa = codes_a
             for ra in range(1, b + 1):
                 pa = pa.translate(step)
-                for k, rc, pb in caesar_variants:
-                    tried += 1
-                    if pa != pb:
-                        continue
-                    score = scorer(pa)
-                    if min_score is not None and score < min_score:
-                        continue
-                    order = (m, b, k, ra, rc)
-                    if best is None or score > best[0] or (score == best[0] and order < best[1]):
-                        best = (score, order, pa)
+                tried += caesar_count
+                match = caesar_keys.get(pa)
+                if match is None:
+                    continue
+                if pa in scores:
+                    score = scores[pa]
+                else:
+                    score = scores[pa] = scorer(pa)
+                if min_score is not None and score < min_score:
+                    continue
+                order = (m, b, match[0], ra, match[1])
+                if best is None or score > best[0] or (score == best[0] and order < best[1]):
+                    best = (score, order, pa)
 
     elapsed = time.perf_counter() - start
     if best is None:

@@ -28,6 +28,7 @@ from .ciphers import (
 )
 from .errors import (
     BadLength,
+    CipherError,
     IntegrityMismatch,
     InvalidKey,
     NonLetterInput,
@@ -91,8 +92,13 @@ def encrypt(plaintext, key: CipherParams) -> CipherText:
 
     The affine and caesar lanes each encrypt the whole message; their bit
     expansions are interleaved through the planting/harvest permutation.
+    A plaintext given as a sequence of ints raises CipherError when one of
+    them is outside [0, 256).
     """
-    data = bytes(plaintext)
+    try:
+        data = bytes(plaintext)
+    except ValueError:
+        raise CipherError("plaintext values must be bytes in [0, 256)") from None
     if key.mode == "letters":
         bad = data.translate(None, _LETTERS)
         if bad:

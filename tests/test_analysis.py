@@ -2,10 +2,16 @@
 
 import math
 import random
+import string
+import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paddycrypt.analysis import (
+    ENGLISH_LETTER_FREQ,
     AttackResult,
     attack_csv,
     avalanche,
@@ -49,6 +55,47 @@ class TestScorers:
 
     def test_chi_squared_no_letters(self):
         assert math.isinf(chi_squared_english(b"123 456"))
+
+
+def reference_chi_squared_english(data):
+    """chi_squared_english as first written: a Counter over folded letters."""
+    letters = [byte | 0x20 for byte in data if 65 <= byte <= 90 or 97 <= byte <= 122]
+    if not letters:
+        return math.inf
+    counts = Counter(letters)
+    total = len(letters)
+    chi2 = 0.0
+    for ch, freq in ENGLISH_LETTER_FREQ.items():
+        expected = total * freq
+        diff = counts.get(ord(ch), 0) - expected
+        chi2 += diff * diff / expected
+    return chi2
+
+
+def reference_english_score(data):
+    """english_score as first written, byte by byte."""
+    if not data:
+        return 0.0
+    letterish = sum(
+        1 for byte in data if 65 <= byte <= 90 or 97 <= byte <= 122 or byte == 32
+    )
+    coverage = letterish / len(data)
+    chi2 = reference_chi_squared_english(data)
+    if math.isinf(chi2):
+        return 0.0
+    return coverage * len(data) / (len(data) + chi2)
+
+
+english_like = st.text(
+    alphabet=string.ascii_letters + " .,'\n", max_size=200
+).map(str.encode)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=200), english_like))
+def test_scorers_match_reference_bit_for_bit(data):
+    assert chi_squared_english(data) == reference_chi_squared_english(data)
+    assert english_score(data) == reference_english_score(data)
 
 
 class TestFrequencyProfile:
@@ -141,10 +188,9 @@ class TestBruteForce:
         assert result.plaintext == message
 
 
-def grid_oracle(ct, scorer, mode, cap_b, cap_k):
-    """Reference for brute_force: decrypt under every grid key, score each
-    key whose lanes agree, and take the best score, ties going to the
-    smallest (m, b, k, ra, rc)."""
+def grid_agreeing(ct, scorer, mode, cap_b, cap_k):
+    """Decrypt under every grid key; (score, (m, b, k, ra, rc), text) for
+    each key whose lanes agree."""
     n = 256 if mode == "byte" else 26
     scored = []
     for m in range(1, n):
@@ -159,20 +205,69 @@ def grid_oracle(ct, scorer, mode, cap_b, cap_k):
                         except IntegrityMismatch:
                             continue
                         scored.append((scorer(text), (m, b, k, ra, rc), text))
+    return scored
+
+
+def grid_oracle(ct, scorer, mode, cap_b, cap_k):
+    """Reference for brute_force: the best score among the agreeing grid
+    keys, ties going to the smallest (m, b, k, ra, rc)."""
+    n = 256 if mode == "byte" else 26
+    scored = grid_agreeing(ct, scorer, mode, cap_b, cap_k)
     score, order, text = min(scored, key=lambda c: (-c[0], c[1]))
     return CipherParams(n, *order), text, score
 
 
-@pytest.mark.parametrize("mode,ct,scorer", [
-    ("byte", encrypt(b"grid search", CipherParams(256, 5, 3, 2, 2, 1)), english_score),
-    ("byte", CipherText((0,) * 128), english_score),  # every lane byte ties
-    ("letters", encrypt(b"PADDYFIELD", CipherParams(26, 7, 2, 3, 1, 3)), english_score),
-    ("letters", encrypt(b"AAAA", CipherParams(26, 3, 3, 1, 2, 1)), printable_ratio),
-], ids=["byte-english", "byte-all-zero", "letters-english", "letters-ties"])
-def test_brute_force_matches_decrypt_oracle(mode, ct, scorer):
-    result = brute_force(ct, scorer, mode=mode, cap_b=3, cap_k=3)
-    key, text, score = grid_oracle(ct, scorer, mode, 3, 3)
+# (mode, ciphertext, scorer, cap_b, cap_k).  Unequal caps make the affine
+# and caesar walks share only part of the shift tables.  In letters-caps-2-5
+# the winning caesar text comes from (k, rc) = (2, 2) and (4, 1); in
+# letters-ties-k-before-ra the walk meets (ra, k) = (1, 5) before the
+# smaller key (2, 1).
+ORACLE_CASES = pytest.mark.parametrize("mode,ct,scorer,cap_b,cap_k", [
+    ("byte", encrypt(b"grid search", CipherParams(256, 5, 3, 2, 2, 1)), english_score, 3, 3),
+    ("byte", CipherText((0,) * 128), english_score, 3, 3),  # every lane byte ties
+    ("letters", encrypt(b"PADDYFIELD", CipherParams(26, 7, 2, 3, 1, 3)), english_score, 3, 3),
+    ("letters", encrypt(b"AAAA", CipherParams(26, 3, 3, 1, 2, 1)), printable_ratio, 3, 3),
+    ("letters", encrypt(b"RICEFIELD", CipherParams(26, 5, 4, 2, 3, 2)), english_score, 5, 2),
+    ("letters", encrypt(b"HARVEST", CipherParams(26, 11, 2, 4, 2, 1)), english_score, 2, 5),
+    ("letters", encrypt(b"FDV", CipherParams(26, 1, 2, 1, 2, 1)), printable_ratio, 2, 5),
+    ("byte", encrypt(b"paddy", CipherParams(256, 3, 4, 1, 3, 1)), english_score, 4, 1),
+], ids=["byte-english", "byte-all-zero", "letters-english", "letters-ties",
+        "letters-caps-5-2", "letters-caps-2-5", "letters-ties-k-before-ra", "byte-caps-4-1"])
+
+
+@ORACLE_CASES
+def test_brute_force_matches_decrypt_oracle(mode, ct, scorer, cap_b, cap_k):
+    result = brute_force(ct, scorer, mode=mode, cap_b=cap_b, cap_k=cap_k)
+    key, text, score = grid_oracle(ct, scorer, mode, cap_b, cap_k)
     assert (result.recovered_key, result.plaintext, result.score) == (key, text, score)
+
+
+@ORACLE_CASES
+def test_brute_force_scores_each_agreeing_text_once(mode, ct, scorer, cap_b, cap_k):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return scorer(text)
+
+    brute_force(ct, counting, mode=mode, cap_b=cap_b, cap_k=cap_k)
+    texts = {text for _, _, text in grid_agreeing(ct, scorer, mode, cap_b, cap_k)}
+    assert sorted(calls) == sorted(texts)
+
+
+def test_brute_force_memory_is_bounded_by_n_times_message():
+    # cap_k = 64 walks 2080 caesar-lane candidates, but they decrypt to at
+    # most n = 256 distinct texts, and only those are kept.
+    message = random.Random(5).randbytes(4096)
+    ct = encrypt(message, CipherParams(256, 5, 2, 40, 1, 7))
+    tracemalloc.start()
+    try:
+        result = brute_force(ct, cap_b=2, cap_k=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.plaintext == message
+    assert peak < 2 * 256 * 4096
 
 
 class TestCaesarLaneAttack:

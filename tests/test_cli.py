@@ -3,7 +3,14 @@
 import pytest
 
 from paddycrypt.cli import main
-from paddycrypt.pipeline import CipherParams, encrypt, format_ciphertext, parse_key, serialize_key
+from paddycrypt.pipeline import (
+    CipherParams,
+    decrypt,
+    encrypt,
+    format_ciphertext,
+    parse_key,
+    serialize_key,
+)
 
 
 @pytest.fixture
@@ -101,6 +108,17 @@ class TestCrack:
         recovered = parse_key(capsys.readouterr().out)
         assert recovered == key
         assert report.read_text().splitlines()[1].startswith("brute-force,")
+
+    def test_grid_covers_whole_letters_keyspace(self, tmp_path):
+        key = CipherParams(n=26, m=19, b=23, k=21, ra=17, rc=20)
+        message = b"THERICEISREADYFORTHEHARVEST"
+        ciphertext = encrypt(message, key)
+        ct = tmp_path / "msg.ct"
+        ct.write_text(format_ciphertext(ciphertext))
+        out = tmp_path / "found.key"
+        assert run("crack", str(ct), "--mode", "letters", "--cap-b", "25", "--cap-k", "25",
+                   "-o", str(out)) == 0
+        assert decrypt(ciphertext, parse_key(out.read_text())) == message
 
     def test_caesar_lane_prints_plaintext(self, tmp_path, capsysbinary):
         key = CipherParams(n=256, m=201, b=133, k=90, ra=40, rc=77)

@@ -10,6 +10,7 @@ from paddycrypt.bitmatrix import build_permutation, harvest, place, symbols_to_b
 from paddycrypt.ciphers import LANE_AFFINE, LANE_CAESAR, CipherParams, iterate_decrypt, iterate_encrypt
 from paddycrypt.errors import (
     BadLength,
+    CipherError,
     IntegrityMismatch,
     InvalidKey,
     NonLetterInput,
@@ -70,6 +71,14 @@ class TestEncrypt:
             codes_b = [offset + s for s in iterate_encrypt(symbols, key, LANE_CAESAR)]
             expected = harvest(place(symbols_to_bits(codes_a), symbols_to_bits(codes_b)))
             assert list(encrypt(plaintext, key).bits) == expected
+
+
+    @pytest.mark.parametrize("key", [BYTE_KEY, CipherParams(n=26, m=7, b=9, k=11, ra=4, rc=6)],
+                             ids=["byte", "letters"])
+    @pytest.mark.parametrize("value", [300, -1])
+    def test_out_of_range_int_is_cipher_error(self, key, value):
+        with pytest.raises(CipherError, match=r"\[0, 256\)"):
+            encrypt([65, value], key)
 
 
 class TestLettersMode:
