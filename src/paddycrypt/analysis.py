@@ -22,14 +22,7 @@ from math import gcd
 from string import ascii_lowercase, ascii_uppercase
 
 from .bitmatrix import deinterleave
-from .ciphers import (
-    ALPHABET_SIZES,
-    LANE_AFFINE,
-    LANE_CAESAR,
-    CipherParams,
-    check_lane_codes,
-    lane_table,
-)
+from .ciphers import ALPHABET_SIZES, CipherParams, affine_table, check_lane_codes, mod_inverse
 from .errors import CipherError, NotFound
 from .pipeline import CipherText, encrypt
 
@@ -101,7 +94,7 @@ def frequency_profile(data, n: int = 256) -> list[float]:
     CipherError for a value outside [0, n).
     """
     if isinstance(data, CipherText):
-        values = data.bits
+        values = data.cells
         n = 2
     else:
         values = data
@@ -185,15 +178,12 @@ def brute_force(
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
 
-    codes_a, codes_b = deinterleave(ciphertext.bits)
+    codes_a, codes_b = deinterleave(ciphertext.cells)
     check_lane_codes(codes_a + codes_b, n)
 
     # unshift[j] subtracts j: the caesar step for k = j and the first half
     # of the affine step for b = j.
-    unshift = [None] + [
-        lane_table(CipherParams(n, 1, 1, j, 1, 1), LANE_CAESAR, decrypt=True)
-        for j in range(1, max(cap_b, cap_k) + 1)
-    ]
+    unshift = [None] + [affine_table(n, 1, -j % n) for j in range(1, max(cap_b, cap_k) + 1)]
 
     # Caesar-lane text -> its first (k, rc) in walk order.  Keys sharing a
     # text share its score, and (k, rc) grows along the walk, so the first
@@ -206,16 +196,13 @@ def brute_force(
             caesar_keys.setdefault(pb, (k, rc))
     caesar_count = cap_k * (cap_k + 1) // 2
 
-    shift_up = lane_table(CipherParams(n, 1, 1, 1, 1, 1), LANE_CAESAR)
     scores = {}  # agreeing plaintext -> scorer(plaintext)
     best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
     tried = 0
     for m in range(1, n):
         if gcd(m, n) != 1:
             continue
-        # x -> x + 1 -> (x + 1 - 1) / m: multiplies by the inverse of m.
-        unscale = shift_up.translate(
-            lane_table(CipherParams(n, m, 1, 1, 1, 1), LANE_AFFINE, decrypt=True))
+        unscale = affine_table(n, mod_inverse(m, n), 0)
         for b in range(1, cap_b + 1):
             step = unshift[b].translate(unscale)
             pa = codes_a
@@ -269,9 +256,9 @@ def caesar_lane_attack(
     n = ALPHABET_SIZES[mode]
     start = time.perf_counter()
 
-    _, codes_b = deinterleave(ciphertext.bits)
+    _, codes_b = deinterleave(ciphertext.cells)
     check_lane_codes(codes_b, n)
-    step = lane_table(CipherParams(n, 1, 1, 1, 1, 1), LANE_CAESAR, decrypt=True)
+    step = affine_table(n, 1, n - 1)
 
     best = None  # (score, shift, plaintext bytes)
     tried = 0
@@ -306,13 +293,13 @@ def avalanche(plaintext: bytes, key: CipherParams) -> list[DiffusionReport]:
     here is local by construction: one plaintext symbol feeds exactly 16
     ciphertext bit positions.
     """
-    base = encrypt(plaintext, key).bits
+    base = encrypt(plaintext, key).cells
     total = len(base)
     reports = []
     for bit in range(8 * len(plaintext)):
         mutated = bytearray(plaintext)
         mutated[bit // 8] ^= 1 << (7 - bit % 8)
-        other = encrypt(bytes(mutated), key).bits
+        other = encrypt(bytes(mutated), key).cells
         changed = sum(1 for x, y in zip(base, other) if x != y)
         reports.append(DiffusionReport(bit, changed / total))
     return reports

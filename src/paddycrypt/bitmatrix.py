@@ -189,15 +189,15 @@ def build_permutation(n_symbols: int) -> PermutationMap:
     return PermutationMap(tuple(forward), tuple(inverse))
 
 
-def interleave(codes_a: bytes, codes_b: bytes) -> tuple[int, ...]:
-    """Ciphertext bits for the affine and caesar lane bytes (harvest of place)."""
+def interleave(codes_a: bytes, codes_b: bytes) -> bytes:
+    """Ciphertext cells, one byte per bit, of the lane bytes (harvest of place)."""
     out = bytearray()
     for col in range(COLS):
         column = bytearray(2 * len(codes_a))
         column[0::2] = codes_a.translate(_PLANES[7 - col])
         column[1::2] = codes_b.translate(_PLANES[col])
         out += column[::-1] if col % 2 else column
-    return tuple(out)
+    return bytes(out)
 
 
 def deinterleave(bits) -> tuple[bytes, bytes]:

@@ -7,8 +7,9 @@ values) and n=26 (letters mode, symbols are letter indices A=0 .. Z=25).
 Each symbol travels through the cipher as its lane code, one byte:
 ``LANE_CODES[n][s]``, which is the byte itself for n=256 and the letter
 "A".."Z" for n=26.  A lane map is therefore a 256-entry ``bytes.translate``
-table over lane codes that leaves every other byte alone, and a whole lane
-is mapped with one ``translate`` call.
+table over lane codes that leaves every other byte alone, always built by
+``affine_table`` (caesar is m = 1), and a whole lane is mapped with one
+``translate`` call.
 
 Each lane of the combined scheme re-applies its single-step map a secret
 number of times (``ra`` for the affine lane, ``rc`` for the caesar lane),
@@ -116,6 +117,13 @@ class CipherParams:
         return cls(n=n, m=m, b=b, k=b, ra=ra, rc=rc)
 
 
+def affine_table(n: int, m: int, b: int) -> bytes:
+    """Lane map s -> (m*s + b) mod n, for 1 <= m < n and 0 <= b < n."""
+    codes = LANE_CODES[n]
+    # Code (m*s + b) % n sits at index b + m*s of m + 1 copies of codes.
+    return bytes.maketrans(codes, (codes * (m + 1))[b:b + m * n:m])
+
+
 def _iterated_table(step: bytes, rounds: int) -> bytes:
     """Lookup table for `step` applied `rounds` times (square-and-multiply
     on map composition; never touches the algebraic closed form)."""
@@ -136,23 +144,20 @@ def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
     n = params.n
     if lane == LANE_AFFINE:
         rounds, bound, name = params.ra, params.b, "ra"
+        m, b = params.m, params.b
         if decrypt:
-            inv = mod_inverse(params.m, n)
-            step = [(inv * (s - params.b)) % n for s in range(n)]
-        else:
-            step = [(params.m * s + params.b) % n for s in range(n)]
+            m = mod_inverse(m, n)
+            b = -m * b
     elif lane == LANE_CAESAR:
         rounds, bound, name = params.rc, params.k, "rc"
-        shift = -params.k if decrypt else params.k
-        step = [(s + shift) % n for s in range(n)]
+        m, b = 1, -params.k if decrypt else params.k
     else:
         raise ValueError(f"unknown lane {lane!r}")
     # Construction already enforces this; re-checked so a tampered key
     # object still fails here instead of producing undecryptable output.
     if not 1 <= rounds <= bound:
         raise IterationBoundExceeded(f"{name}={rounds} outside [1, {bound}]")
-    codes = LANE_CODES[n]
-    return _iterated_table(bytes.maketrans(codes, bytes(codes[s] for s in step)), rounds)
+    return _iterated_table(affine_table(n, m, b % n), rounds)
 
 
 def check_lane_codes(codes: bytes, n: int) -> None:

@@ -34,7 +34,14 @@ class NonLetterOutput(CipherError):
 
 
 class IntegrityMismatch(CipherError):
-    """The two cipher lanes decrypted to different plaintexts."""
+    """The two cipher lanes decrypted to different plaintexts.
+
+    indices holds the symbol positions whose lanes disagree.
+    """
+
+    def __init__(self, message: str, indices: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.indices = indices
 
 
 class ParseError(CipherError):

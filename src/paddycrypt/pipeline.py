@@ -47,25 +47,32 @@ _LETTERS = LANE_CODES[26] + LANE_CODES[26].lower()
 
 @dataclass(frozen=True)
 class CipherText:
-    """An encrypted message: 16 bits per plaintext symbol, each 0 or 1."""
+    """An encrypted message: 16 cells per plaintext symbol, one byte per bit."""
 
-    bits: tuple[int, ...]
+    cells: bytes
 
     def __post_init__(self) -> None:
-        if len(self.bits) % 16:
-            raise BadLength(f"ciphertext bit count {len(self.bits)} is not a multiple of 16")
+        if len(self.cells) % 16:
+            raise BadLength(f"ciphertext bit count {len(self.cells)} is not a multiple of 16")
         try:
-            if bytes(self.bits).translate(None, b"\x00\x01"):
+            cells = bytes(self.cells)
+            if cells.translate(None, b"\x00\x01"):
                 raise ValueError("stray cell")
         except (TypeError, ValueError):
             raise ParseError("ciphertext cells must be 0 or 1") from None
+        object.__setattr__(self, "cells", cells)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The cells as a tuple of ints, built on each access."""
+        return tuple(self.cells)
 
     @property
     def n_symbols(self) -> int:
-        return len(self.bits) // 16
+        return len(self.cells) // 16
 
     def to_bitstring(self) -> str:
-        return bytes(self.bits).translate(_BITS_TO_DIGITS).decode("ascii")
+        return self.cells.translate(_BITS_TO_DIGITS).decode("ascii")
 
     def to_hex(self) -> str:
         # The leading 1 keeps leading zeros and gives "" for no bits.
@@ -76,7 +83,7 @@ class CipherText:
         bad = text.strip("01")
         if bad:
             raise ParseError(f"ciphertext may contain only 0 and 1, got {bad[0]!r}")
-        return cls(tuple(text.encode("ascii").translate(_DIGITS_TO_BITS)))
+        return cls(text.encode("ascii").translate(_DIGITS_TO_BITS))
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":
@@ -112,14 +119,20 @@ def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
     """Decrypt and cross-check both lanes.
 
     Raises IntegrityMismatch when the lanes disagree, which any single
-    corrupted bit or wrong key causes.
+    corrupted bit or wrong key causes; its indices name the symbols whose
+    lanes differ.
     """
-    codes_a, codes_b = deinterleave(ciphertext.bits)
+    codes_a, codes_b = deinterleave(ciphertext.cells)
     check_lane_codes(codes_a + codes_b, key.n)
     plain_a = codes_a.translate(lane_table(key, LANE_AFFINE, decrypt=True))
     plain_b = codes_b.translate(lane_table(key, LANE_CAESAR, decrypt=True))
     if plain_a != plain_b:
-        raise IntegrityMismatch("affine and caesar lanes disagree (corrupt data or wrong key)")
+        indices = tuple(i for i, (x, y) in enumerate(zip(plain_a, plain_b)) if x != y)
+        raise IntegrityMismatch(
+            "affine and caesar lanes disagree (corrupt data or wrong key) at "
+            f"{len(indices)} of {len(plain_a)} symbols, first index {indices[0]}",
+            indices,
+        )
     return plain_a
 
 

@@ -10,8 +10,10 @@ from paddycrypt.ciphers import (
     CipherParams,
     LANE_AFFINE,
     LANE_CAESAR,
+    LANE_CODES,
     affine_decrypt_symbol,
     affine_encrypt_symbol,
+    affine_table,
     caesar_decrypt_symbol,
     caesar_encrypt_symbol,
     iterate_decrypt,
@@ -151,6 +153,30 @@ class TestSymbolOps:
             for k in range(n):
                 for c in range(n):
                     assert caesar_encrypt_symbol(caesar_decrypt_symbol(c, k, n), k, n) == c
+
+
+class TestAffineTable:
+    @staticmethod
+    def check(n, m, b):
+        codes = LANE_CODES[n]
+        table = affine_table(n, m, b)
+        expected = bytearray(range(256))
+        for s in range(n):
+            expected[codes[s]] = codes[affine_encrypt_symbol(s, m, b, n)]
+        assert table == expected, (n, m, b)
+
+    def test_exhaustive_26(self):
+        for m in range(1, 26):
+            for b in range(26):
+                self.check(26, m, b)
+
+    def test_units_and_shifts_256(self):
+        for m in units(256):
+            for b in (0, 1, 255):
+                self.check(256, m, b)
+        for m in (1, 3, 255):
+            for b in range(256):
+                self.check(256, m, b)
 
 
 class TestCipherParams:

@@ -1,6 +1,7 @@
 """Unit tests for end-to-end encryption, key files and ciphertext files."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,28 @@ class TestDecrypt:
     def test_rejects_non_bit_cells(self, cell):
         with pytest.raises(ParseError):
             CipherText((cell,) * 16)
+
+    def test_length_checked_before_cells(self):
+        with pytest.raises(BadLength):
+            CipherText((2,) * 24)
+        with pytest.raises(ParseError):
+            CipherText((2,) * 16)
+
+    def test_integrity_mismatch_names_the_flipped_symbol(self):
+        # byte mode: every lane byte is valid, so each flip reaches the lane comparison
+        key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
+        ct = encrypt(bytes(range(60, 70)), key)
+        perm = build_permutation(10)
+        owner = {pos: i for i in range(10) for pos in perm.symbol_positions(i)}
+        for position in range(len(ct.cells)):
+            cells = bytearray(ct.cells)
+            cells[position] ^= 1
+            with pytest.raises(IntegrityMismatch) as err:
+                decrypt(CipherText(cells), key)
+            assert err.value.indices == (owner[position],)
+            assert str(err.value).startswith(
+                "affine and caesar lanes disagree (corrupt data or wrong key)")
+            assert f"first index {owner[position]}" in str(err.value)
 
     def test_single_bit_corruption_never_silent(self):
         key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
@@ -260,6 +283,48 @@ class TestKeyFile:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_key(text)
+
+
+class TestCipherTextCells:
+    BITS = (0, 1, 1, 0) * 8
+
+    def test_every_form_gives_one_ciphertext(self):
+        forms = [
+            CipherText(self.BITS),
+            CipherText(list(self.BITS)),
+            CipherText(bytearray(self.BITS)),
+            CipherText(bytes(self.BITS)),
+            CipherText.from_bitstring("0110" * 8),
+            CipherText.from_hex("66666666"),
+        ]
+        for ct in forms:
+            assert type(ct.cells) is bytes
+            assert ct.cells == bytes(self.BITS)
+            assert ct.bits == self.BITS
+            assert ct == forms[0]
+            assert hash(ct) == hash(forms[0])
+
+    def test_cells_are_copied_from_a_bytearray(self):
+        source = bytearray(self.BITS)
+        ct = CipherText(source)
+        source[0] ^= 1
+        assert ct.bits == self.BITS
+
+    def test_round_trip_memory_per_cell(self):
+        # encrypt -> hex -> parse -> decrypt of 32 KB must not hold a
+        # Python object per ciphertext bit
+        key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
+        data = random.Random(5).randbytes(32768)
+        decrypt(encrypt(data[:16], key), key)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            text = format_ciphertext(encrypt(data, key), "hex")
+            recovered = decrypt(parse_ciphertext(text), key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recovered == data
+        assert peak < 6 * 16 * len(data)
 
 
 class TestCipherTextFormats:
