@@ -22,7 +22,14 @@ from math import gcd
 from string import ascii_lowercase, ascii_uppercase
 
 from .bitmatrix import deinterleave
-from .ciphers import ALPHABET_SIZES, CipherParams, affine_table, check_lane_codes, mod_inverse
+from .ciphers import (
+    ALPHABET_SIZES,
+    LANE_CODES,
+    CipherParams,
+    affine_table,
+    check_lane_codes,
+    mod_inverse,
+)
 from .errors import CipherError, NotFound
 from .pipeline import CipherText, encrypt
 
@@ -94,18 +101,18 @@ def frequency_profile(data, n: int = 256) -> list[float]:
     CipherError for a value outside [0, n).
     """
     if isinstance(data, CipherText):
-        values = data.cells
-        n = 2
+        total = 8 * len(data.packed)
+        ones = int.from_bytes(data.packed, "big").bit_count()
+        counts = [total - ones, ones]
     else:
-        values = data
-    counts = [0] * n
-    for v in values:
-        if not 0 <= v < n:
-            raise CipherError(f"value {v} outside [0, {n})")
-        counts[v] += 1
-    total = len(values)
+        counts = [0] * n
+        for v in data:
+            if not 0 <= v < n:
+                raise CipherError(f"value {v} outside [0, {n})")
+            counts[v] += 1
+        total = len(data)
     if not total:
-        return [0.0] * n
+        return [0.0] * len(counts)
     return [c / total for c in counts]
 
 
@@ -178,7 +185,7 @@ def brute_force(
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
 
-    codes_a, codes_b = deinterleave(ciphertext.cells)
+    codes_a, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_a + codes_b, n)
 
     # unshift[j] subtracts j: the caesar step for k = j and the first half
@@ -256,7 +263,7 @@ def caesar_lane_attack(
     n = ALPHABET_SIZES[mode]
     start = time.perf_counter()
 
-    _, codes_b = deinterleave(ciphertext.cells)
+    _, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_b, n)
     step = affine_table(n, 1, n - 1)
 
@@ -289,19 +296,28 @@ def avalanche(plaintext: bytes, key: CipherParams) -> list[DiffusionReport]:
     """Flip each plaintext bit in turn, re-encrypt, and report the fraction
     of ciphertext bits that changed.
 
-    Bits are indexed most-significant first within each byte.  Diffusion
-    here is local by construction: one plaintext symbol feeds exactly 16
-    ciphertext bit positions.
+    Bits are indexed most-significant first within each byte.  In letters
+    mode the flipped bit is one of the symbol index (the letter's offset
+    from A), reduced mod 26 so the input stays a letter.  Diffusion here is
+    local by construction: one plaintext symbol feeds exactly 16 ciphertext
+    bit positions.
     """
-    base = encrypt(plaintext, key).cells
-    total = len(base)
+    packed = encrypt(plaintext, key).packed
+    base = int.from_bytes(packed, "big")
+    total = 8 * len(packed)
+    data = bytes(plaintext)
+    if key.mode == "letters":
+        data = data.upper()
+    codes = LANE_CODES[key.n]
     reports = []
-    for bit in range(8 * len(plaintext)):
-        mutated = bytearray(plaintext)
-        mutated[bit // 8] ^= 1 << (7 - bit % 8)
-        other = encrypt(bytes(mutated), key).cells
-        changed = sum(1 for x, y in zip(base, other) if x != y)
-        reports.append(DiffusionReport(bit, changed / total))
+    for bit in range(8 * len(data)):
+        mutated = bytearray(data)
+        i = bit // 8
+        # Lane codes are consecutive, so code - codes[0] is the symbol.
+        symbol = (mutated[i] - codes[0]) ^ 1 << (7 - bit % 8)
+        mutated[i] = codes[symbol % key.n]
+        other = int.from_bytes(encrypt(bytes(mutated), key).packed, "big")
+        reports.append(DiffusionReport(bit, (base ^ other).bit_count() / total))
     return reports
 
 

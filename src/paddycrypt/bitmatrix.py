@@ -15,10 +15,23 @@ For one pair of lane bytes (a1..a8 affine, c1..c8 caesar):
     harvest:  a1 c8 | c7 a2 | a3 c6 | c5 a4 | a5 c4 | c3 a6 | a7 c2 | c1 a8
 
 Cell (row 2i, column c) is bit 7-c of affine byte A[i] and cell (2i+1, c)
-is bit c of caesar byte B[i].  interleave and deinterleave use that closed
-form, one column (a bit plane of each lane) at a time, reversing odd
-(0-indexed) columns.  place, harvest and build_permutation do the same cell
-by cell; they are the reference that tests compare the closed form against.
+is bit c of caesar byte B[i].  Column c therefore reads the pairs
+(bit 7-c of A[i], bit c of B[i]) for i = 0..N-1, and odd (0-indexed)
+columns read them backwards, which reverses the column's 2N bits.
+
+interleave and deinterleave work on the packed stream: the 16N harvested
+bits, 8 to a byte, most significant bit first, 2 bytes per symbol.  They
+use the closed form four symbols at a time.  The 8 bytes A[i], rev(B[i]),
+..., A[i+3], rev(B[i+3]) (rev reverses a byte's bit order) are an 8x8 bit
+block whose column c holds the 4 pairs of column c; transposing every block
+makes byte c of each block the next packed byte of column c.  A column is
+2N bits, so when N is not a multiple of 4 the lanes get leading zero
+symbols that align each column to whole bytes, and each column is shifted
+into its place in the stream as an integer.  pack_cells and unpack_cells
+convert between the packed stream and one 0/1 cell per bit.
+
+place, harvest and build_permutation do the same cell by cell; they are
+the reference that tests compare the closed form against.
 """
 
 from __future__ import annotations
@@ -31,6 +44,18 @@ from .errors import BadLength, LengthMismatch
 COLS = 8
 
 _PLANES = tuple(bytes((v >> s) & 1 for v in range(256)) for s in range(COLS))
+# Each byte with its bit order reversed.
+_REVERSE = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+# Rows are transposed this many bytes (512 blocks) at a time, which keeps
+# the integers small.
+_CHUNK = 4096
+# The three delta swaps, (shift, mask of one block), that transpose each
+# 8x8 bit block of a big-endian integer (Hacker's Delight, transpose8).
+_TRANSPOSE_SWAPS = (
+    (7, bytes.fromhex("00aa00aa00aa00aa")),
+    (14, bytes.fromhex("0000cccc0000cccc")),
+    (28, bytes.fromhex("00000000f0f0f0f0")),
+)
 
 
 def symbol_to_bits(s: int) -> list[int]:
@@ -189,38 +214,93 @@ def build_permutation(n_symbols: int) -> PermutationMap:
     return PermutationMap(tuple(forward), tuple(inverse))
 
 
+def pack_cells(cells: bytes) -> bytes:
+    """Packed form of 0/1 cells, 8 to a byte, first cell most significant.
+
+    The cell count must be a multiple of 8.
+    """
+    value = 0
+    for j in range(8):
+        value |= int.from_bytes(cells[j::8], "big") << (7 - j)
+    return value.to_bytes(len(cells) // 8, "big")
+
+
+def unpack_cells(packed: bytes) -> bytes:
+    """Inverse of pack_cells: one 0/1 byte per bit, most significant first."""
+    cells = bytearray(8 * len(packed))
+    for j in range(8):
+        cells[j::8] = packed.translate(_PLANES[7 - j])
+    return bytes(cells)
+
+
+def _transpose_blocks(data) -> bytes:
+    """Transpose every 8x8 bit block (8 bytes, one row a byte) of data."""
+    # The masks repeat every block from the low end, so a short last chunk
+    # uses their low blocks as they are.
+    blocks = min(len(data), _CHUNK) // 8
+    swaps = [(shift, int.from_bytes(pattern * blocks, "big"))
+             for shift, pattern in _TRANSPOSE_SWAPS]
+    out = []
+    for start in range(0, len(data), _CHUNK):
+        chunk = data[start:start + _CHUNK]
+        value = int.from_bytes(chunk, "big")
+        for shift, mask in swaps:
+            t = (value ^ value >> shift) & mask
+            value ^= t | t << shift
+        out.append(value.to_bytes(len(chunk), "big"))
+    return b"".join(out)
+
+
 def interleave(codes_a: bytes, codes_b: bytes) -> bytes:
-    """Ciphertext cells, one byte per bit, of the lane bytes (harvest of place)."""
-    out = bytearray()
+    """Packed ciphertext of the lane bytes: harvest of place, 8 bits a byte."""
+    n = len(codes_a)
+    pad = -n % 4
+    rows = bytearray(2 * (n + pad))
+    rows[0::2] = bytes(pad) + codes_a
+    rows[1::2] = (bytes(pad) + codes_b).translate(_REVERSE)
+    blocks = _transpose_blocks(rows)
+    out = bytearray(2 * n)
     for col in range(COLS):
-        column = bytearray(2 * len(codes_a))
-        column[0::2] = codes_a.translate(_PLANES[7 - col])
-        column[1::2] = codes_b.translate(_PLANES[col])
-        out += column[::-1] if col % 2 else column
+        column = blocks[col::8]
+        if col % 2:
+            # Reversing the padded column's bits puts the padding last.
+            bits = int.from_bytes(column[::-1].translate(_REVERSE), "big") >> 2 * pad
+        else:
+            bits = int.from_bytes(column, "big")
+        # The column's 2N bits are stream bits [2N*col, 2N*(col+1)).
+        start, end = 2 * n * col, 2 * n * (col + 1)
+        lo, hi = start // 8, (end + 7) // 8
+        bits <<= -end % 8
+        if start % 8:  # the first byte also ends the previous column
+            bits |= out[lo] << 8 * (hi - lo - 1)
+        out[lo:hi] = bits.to_bytes(hi - lo, "big")
     return bytes(out)
 
 
-def deinterleave(bits) -> tuple[bytes, bytes]:
-    """Inverse of interleave: ciphertext bits -> (affine, caesar) lane bytes.
-
-    Cells must be 0 or 1; CipherText checks that at construction.
-    """
-    data = bytes(bits)
-    if len(data) % 16:
-        raise BadLength(f"ciphertext bit count {len(data)} is not a multiple of 16")
-    rows = len(data) // COLS
-    value_a = value_b = 0
+def deinterleave(packed: bytes) -> tuple[bytes, bytes]:
+    """Inverse of interleave: packed ciphertext -> (affine, caesar) lane bytes."""
+    if len(packed) % 2:
+        raise BadLength(f"ciphertext bit count {8 * len(packed)} is not a multiple of 16")
+    n = len(packed) // 2
+    pad = -n % 4
+    width = (n + pad) // 4
+    mask = (1 << 2 * n) - 1
+    blocks = bytearray(COLS * width)
     for col in range(COLS):
-        column = data[col * rows:(col + 1) * rows]
+        start, end = 2 * n * col, 2 * n * (col + 1)
+        bits = int.from_bytes(packed[start // 8:(end + 7) // 8], "big") >> (-end % 8) & mask
         if col % 2:
-            column = column[::-1]
-        # Each plane byte is 0 or 1, so shifting by < 8 never carries.
-        value_a |= int.from_bytes(column[0::2], "big") << (7 - col)
-        value_b |= int.from_bytes(column[1::2], "big") << col
-    return value_a.to_bytes(rows // 2, "big"), value_b.to_bytes(rows // 2, "big")
+            # Reversed back into pair order, the padding leads again.
+            blocks[col::8] = (bits << 2 * pad).to_bytes(width, "big")[::-1].translate(_REVERSE)
+        else:
+            blocks[col::8] = bits.to_bytes(width, "big")
+    rows = _transpose_blocks(blocks)
+    return rows[2 * pad::2], rows[2 * pad + 1::2].translate(_REVERSE)
 
 
 def unharvest(bits) -> tuple[list, list]:
     """Undo harvest and placement: ciphertext bits -> (affine, caesar) lanes."""
-    codes_a, codes_b = deinterleave(bits)
+    if len(bits) % 16:
+        raise BadLength(f"ciphertext bit count {len(bits)} is not a multiple of 16")
+    codes_a, codes_b = deinterleave(pack_cells(bytes(bits)))
     return symbols_to_bits(codes_a), symbols_to_bits(codes_b)

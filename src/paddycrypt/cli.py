@@ -8,6 +8,7 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -129,6 +130,7 @@ def _cmd_freq(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paddycrypt",

@@ -5,6 +5,11 @@ message twice (16 bits per symbol).  decrypt() turns that redundancy into
 an integrity check: the two recovered plaintexts must agree bit for bit,
 otherwise the data was corrupted or the key is wrong.
 
+A CipherText holds the ciphertext packed: the 16N-bit stream that the
+paddy transposition harvests, 8 bits a byte, most significant bit first, so
+2 bytes per symbol from encrypt to decrypt.  Hex text is those bytes in
+hex; a bitstring is the stream as 0/1 digits.
+
 Byte mode (n=256) operates on raw bytes.  Letters mode (n=26) accepts only
 letters and folds them to uppercase, which makes them the lane codes the
 8-bit matrix stage carries.
@@ -16,7 +21,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .bitmatrix import deinterleave, interleave
+from .bitmatrix import deinterleave, interleave, pack_cells, unpack_cells
 from .ciphers import (
     ALPHABET_SIZES,
     LANE_AFFINE,
@@ -40,58 +45,86 @@ KEY_FIELDS = ("mode", "n", "m", "b", "k", "ra", "rc")
 CIPHERTEXT_HEX_HEADER = "fmt=hex"
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
-_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _LETTERS = LANE_CODES[26] + LANE_CODES[26].lower()
 
 
-@dataclass(frozen=True)
+def _check_chars(text: str, allowed: str, message: str) -> None:
+    """Raise ParseError if text has a character outside allowed (ASCII);
+    message.format() is given the first such character."""
+    # One pass in C; surrogatepass turns a lone surrogate into stray bytes
+    # rather than an encoding error.
+    if text.encode("utf-8", "surrogatepass").translate(None, allowed.encode()):
+        raise ParseError(message.format(text.strip(allowed)[0]))
+
+
+@dataclass(frozen=True, init=False)
 class CipherText:
-    """An encrypted message: 16 cells per plaintext symbol, one byte per bit."""
+    """An encrypted message, packed: 16 bits per plaintext symbol, 8 a byte.
 
-    cells: bytes
+    CipherText(cells) takes one 0/1 cell per bit; from_packed takes the
+    packed bytes.  .cells and .bits are views built on each access.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.cells) % 16:
-            raise BadLength(f"ciphertext bit count {len(self.cells)} is not a multiple of 16")
+    packed: bytes
+
+    def __init__(self, cells) -> None:
+        if len(cells) % 16:
+            raise BadLength(f"ciphertext bit count {len(cells)} is not a multiple of 16")
         try:
-            cells = bytes(self.cells)
+            cells = bytes(cells)
             if cells.translate(None, b"\x00\x01"):
                 raise ValueError("stray cell")
         except (TypeError, ValueError):
             raise ParseError("ciphertext cells must be 0 or 1") from None
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "packed", pack_cells(cells))
+
+    @classmethod
+    def from_packed(cls, raw) -> "CipherText":
+        """The ciphertext whose packed bytes are raw (2 per symbol)."""
+        if len(raw) % 2:
+            raise BadLength(f"ciphertext bit count {8 * len(raw)} is not a multiple of 16")
+        ciphertext = cls.__new__(cls)
+        object.__setattr__(ciphertext, "packed", bytes(raw))
+        return ciphertext
+
+    @property
+    def cells(self) -> bytes:
+        """One 0/1 byte per ciphertext bit."""
+        return unpack_cells(self.packed)
 
     @property
     def bits(self) -> tuple[int, ...]:
-        """The cells as a tuple of ints, built on each access."""
+        """The cells as a tuple of ints."""
         return tuple(self.cells)
 
     @property
     def n_symbols(self) -> int:
-        return len(self.cells) // 16
+        return len(self.packed) // 2
 
     def to_bitstring(self) -> str:
-        return self.cells.translate(_BITS_TO_DIGITS).decode("ascii")
+        if not self.packed:
+            return ""
+        return format(int.from_bytes(self.packed, "big"), "b").zfill(8 * len(self.packed))
 
     def to_hex(self) -> str:
-        # The leading 1 keeps leading zeros and gives "" for no bits.
-        return format(int("1" + self.to_bitstring(), 2), "x")[1:]
+        return self.packed.hex()
 
     @classmethod
     def from_bitstring(cls, text: str) -> "CipherText":
-        bad = text.strip("01")
-        if bad:
-            raise ParseError(f"ciphertext may contain only 0 and 1, got {bad[0]!r}")
-        return cls(text.encode("ascii").translate(_DIGITS_TO_BITS))
+        # int() would also take '_', signs and whitespace, so check first.
+        _check_chars(text, "01", "ciphertext may contain only 0 and 1, got {!r}")
+        if len(text) % 16:
+            raise BadLength(f"ciphertext bit count {len(text)} is not a multiple of 16")
+        return cls.from_packed(int(text or "0", 2).to_bytes(len(text) // 8, "big"))
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":
-        # int() would also take '_', signs and whitespace, so check first.
-        bad = text.strip(_HEX_DIGITS)
-        if bad:
-            raise ParseError(f"invalid hex digit {bad[0]!r}")
-        return cls.from_bitstring(format(int("1" + text, 16), "b")[1:])
+        # bytes.fromhex would skip whitespace, and raise ValueError on an
+        # odd length, so check the characters and the length first.
+        _check_chars(text, _HEX_DIGITS, "invalid hex digit {!r}")
+        if len(text) % 4:
+            raise BadLength(f"ciphertext bit count {4 * len(text)} is not a multiple of 16")
+        return cls.from_packed(bytes.fromhex(text))
 
 
 def encrypt(plaintext, key: CipherParams) -> CipherText:
@@ -111,8 +144,8 @@ def encrypt(plaintext, key: CipherParams) -> CipherText:
         if bad:
             raise NonLetterInput(f"byte {bad[0]:#04x} is not a letter")
         data = data.upper()
-    return CipherText(interleave(data.translate(lane_table(key, LANE_AFFINE)),
-                                 data.translate(lane_table(key, LANE_CAESAR))))
+    return CipherText.from_packed(interleave(data.translate(lane_table(key, LANE_AFFINE)),
+                                             data.translate(lane_table(key, LANE_CAESAR))))
 
 
 def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
@@ -122,8 +155,9 @@ def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
     corrupted bit or wrong key causes; its indices name the symbols whose
     lanes differ.
     """
-    codes_a, codes_b = deinterleave(ciphertext.cells)
-    check_lane_codes(codes_a + codes_b, key.n)
+    codes_a, codes_b = deinterleave(ciphertext.packed)
+    check_lane_codes(codes_a, key.n)
+    check_lane_codes(codes_b, key.n)
     plain_a = codes_a.translate(lane_table(key, LANE_AFFINE, decrypt=True))
     plain_b = codes_b.translate(lane_table(key, LANE_CAESAR, decrypt=True))
     if plain_a != plain_b:

@@ -29,7 +29,7 @@ from paddycrypt.analysis import (
 )
 from paddycrypt.bitmatrix import build_permutation
 from paddycrypt.ciphers import CipherParams
-from paddycrypt.errors import CipherError, IntegrityMismatch, NotFound
+from paddycrypt.errors import CipherError, IntegrityMismatch, NonLetterInput, NotFound
 from paddycrypt.pipeline import CipherText, decrypt, encrypt, keygen
 
 ENGLISH = b"the quick brown fox jumps over the lazy dog"
@@ -129,6 +129,7 @@ class TestFrequencyProfile:
         assert len(profile) == 2
         sigma = math.sqrt(0.25 / len(ct.bits))
         assert abs(profile[1] - 0.5) < 3 * sigma
+        assert profile == [ct.bits.count(0) / len(ct.bits), ct.bits.count(1) / len(ct.bits)]
 
 
 class TestBruteForce:
@@ -336,6 +337,44 @@ class TestAvalanche:
     def test_empty_plaintext(self):
         assert avalanche(b"", self.KEY) == []
         assert mean_fraction([]) == 0.0
+
+    def test_byte_mode_fractions_count_changed_bits(self):
+        message = b"GR\x00\xff"
+        base = encrypt(message, self.KEY).bits
+        for report in avalanche(message, self.KEY):
+            mutated = bytearray(message)
+            mutated[report.input_bit_flipped // 8] ^= 1 << (7 - report.input_bit_flipped % 8)
+            other = encrypt(bytes(mutated), self.KEY).bits
+            changed = sum(x != y for x, y in zip(base, other))
+            assert report.ciphertext_hamming_fraction == changed / len(base)
+
+
+class TestAvalancheLetters:
+    KEY = CipherParams(n=26, m=7, b=9, k=11, ra=4, rc=6)
+
+    def test_flips_the_symbol_index_mod_26(self):
+        message = b"GRAIN"
+        reports = avalanche(message, self.KEY)
+        assert [r.input_bit_flipped for r in reports] == list(range(40))
+        base = encrypt(message, self.KEY).bits
+        perm = build_permutation(len(message))
+        for report in reports:
+            i, bit = divmod(report.input_bit_flipped, 8)
+            symbol = ((message[i] - 65) ^ 1 << (7 - bit)) % 26
+            mutated = message[:i] + bytes([65 + symbol]) + message[i + 1:]
+            other = encrypt(mutated, self.KEY).bits
+            diff = {j for j in range(80) if base[j] != other[j]}
+            # the flip always moves the letter, so both lanes change
+            assert 2 <= len(diff) <= 16
+            assert diff <= perm.symbol_positions(i)
+            assert report.ciphertext_hamming_fraction == len(diff) / 80
+
+    def test_lowercase_folds(self):
+        assert avalanche(b"grain", self.KEY) == avalanche(b"GRAIN", self.KEY)
+
+    def test_non_letter_input(self):
+        with pytest.raises(NonLetterInput):
+            avalanche(b"GR4IN", self.KEY)
 
 
 class TestReports:

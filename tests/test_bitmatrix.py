@@ -14,10 +14,12 @@ from paddycrypt.bitmatrix import (
     deinterleave,
     harvest,
     interleave,
+    pack_cells,
     place,
     symbol_to_bits,
     symbols_to_bits,
     unharvest,
+    unpack_cells,
 )
 from paddycrypt.errors import BadLength, LengthMismatch
 
@@ -222,6 +224,19 @@ class TestUnharvest:
     def test_bad_length(self):
         with pytest.raises(BadLength):
             unharvest([0] * 24)
+
+    def test_pack_cells_round_trip(self):
+        rng = random.Random(4)
+        for n_cells in (0, 8, 16, 24, 800):
+            cells = bytes(rng.getrandbits(1) for _ in range(n_cells))
+            packed = pack_cells(cells)
+            assert len(packed) == n_cells // 8
+            assert int.from_bytes(packed, "big") == int("0" + "".join(map(str, cells)), 2)
+            assert unpack_cells(packed) == cells
+
+    def test_deinterleave_rejects_odd_byte_count(self):
+        with pytest.raises(BadLength):
+            deinterleave(bytes(3))
 
     def test_deinterleave_inverts_interleave(self):
         rng = random.Random(21)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from paddycrypt.cli import main
+from paddycrypt.cli import _build_parser, main
 from paddycrypt.pipeline import (
     CipherParams,
     decrypt,
@@ -138,6 +138,16 @@ class TestReportsCommands:
         assert lines[0] == "bit_index,hamming_fraction"
         assert len(lines) == 42
 
+    def test_avalanche_letters_key(self, tmp_path, capsys):
+        letters = tmp_path / "letters.key"
+        letters.write_text(serialize_key(CipherParams(n=26, m=7, b=9, k=11, ra=4, rc=6)))
+        assert run("avalanche", "--text", "GRAIN", "--key", str(letters)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.strip().splitlines()
+        assert lines[0] == "bit_index,hamming_fraction"
+        assert len(lines) == 42
+
     def test_freq_csv(self, tmp_path):
         src = tmp_path / "data.bin"
         src.write_bytes(b"AAAB")
@@ -223,3 +233,30 @@ class TestDiagnostics:
         code = run("encrypt", str(src), "--text", "y", "--key", keyfile)
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_sequential_commands_share_no_values(self, tmp_path, keyfile, capsys):
+        ct = tmp_path / "msg.ct"
+        out = tmp_path / "plain.out"
+        assert run("encrypt", "--text", "meet me at the usual place", "--key", keyfile,
+                   "--format", "hex", "-o", str(ct)) == 0
+        assert run("decrypt", str(ct), "--key", keyfile, "-o", str(out)) == 0
+        assert out.read_bytes() == b"meet me at the usual place"
+        assert run("crack", str(ct), "--cap-b", "7", "--cap-k", "5") == 0
+        assert parse_key(capsys.readouterr().out) == parse_key(open(keyfile).read())
+
+    def test_namespaces_match_a_fresh_parser(self):
+        fresh = _build_parser.__wrapped__
+        argvs = [
+            ["encrypt", "--text", "x", "--key", "k", "--format", "hex", "-o", "o"],
+            ["decrypt", "ct", "--key", "k"],
+            ["crack", "ct", "--method", "caesar-lane", "--mode", "letters"],
+            ["encrypt", "pt", "--key", "k"],
+            ["keygen", "--seed", "3"],
+            ["freq", "data", "--bits"],
+            ["avalanche", "--text=--", "--key", "k"],
+        ]
+        for argv in argvs:
+            assert vars(_build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+        assert _build_parser() is _build_parser()

@@ -62,16 +62,23 @@ class TestEncrypt:
 
     @pytest.mark.parametrize("key", [BYTE_KEY, CipherParams(n=26, m=7, b=9, k=11, ra=4, rc=6)])
     def test_matches_matrix_reference(self, key):
-        # closed-form layout vs planting and harvest cell by cell
+        # closed-form layout vs planting and harvest cell by cell; 4097
+        # symbols make three transposition chunks, the last one short
         rng = random.Random(key.n)
         offset = 0 if key.n == 256 else 65  # letters travel as A-Z codes
-        for length in list(range(65)) + [4096]:
+        for length in list(range(70)) + [1000, 4096, 4097, 32768]:
             symbols = [rng.randrange(key.n) for _ in range(length)]
             plaintext = bytes(offset + s for s in symbols)
             codes_a = [offset + s for s in iterate_encrypt(symbols, key, LANE_AFFINE)]
             codes_b = [offset + s for s in iterate_encrypt(symbols, key, LANE_CAESAR)]
             expected = harvest(place(symbols_to_bits(codes_a), symbols_to_bits(codes_b)))
-            assert list(encrypt(plaintext, key).bits) == expected
+            ct = encrypt(plaintext, key)
+            assert list(ct.bits) == expected
+            bitstring = "".join(map(str, expected))
+            assert ct.to_bitstring() == bitstring
+            octets = bytes(int(bitstring[i:i + 8], 2) for i in range(0, len(bitstring), 8))
+            assert ct.packed == octets
+            assert ct.to_hex() == octets.hex()
 
 
     @pytest.mark.parametrize("key", [BYTE_KEY, CipherParams(n=26, m=7, b=9, k=11, ra=4, rc=6)],
@@ -101,10 +108,11 @@ class TestLettersMode:
         # clearing/setting the top bit of a lane byte leaves A-Z
         ct = encrypt(b"A", self.KEY)
         perm = build_permutation(1)
-        bits = list(ct.bits)
-        bits[perm.forward[0]] ^= 1  # MSB of the affine lane byte
-        with pytest.raises(NonLetterOutput):
-            decrypt(CipherText(tuple(bits)), self.KEY)
+        for lane_bit in (0, 8):  # MSB of the affine, then the caesar lane byte
+            bits = list(ct.bits)
+            bits[perm.forward[lane_bit]] ^= 1
+            with pytest.raises(NonLetterOutput):
+                decrypt(CipherText(tuple(bits)), self.KEY)
 
 
 class TestDecrypt:
@@ -296,8 +304,13 @@ class TestCipherTextCells:
             CipherText(bytes(self.BITS)),
             CipherText.from_bitstring("0110" * 8),
             CipherText.from_hex("66666666"),
+            CipherText.from_hex("66666666".upper()),
+            CipherText.from_packed(bytes.fromhex("66666666")),
+            CipherText.from_packed(bytearray.fromhex("66666666")),
         ]
         for ct in forms:
+            assert type(ct.packed) is bytes
+            assert ct.packed == bytes.fromhex("66666666")
             assert type(ct.cells) is bytes
             assert ct.cells == bytes(self.BITS)
             assert ct.bits == self.BITS
@@ -325,6 +338,95 @@ class TestCipherTextCells:
             tracemalloc.stop()
         assert recovered == data
         assert peak < 6 * 16 * len(data)
+
+
+class TestPackedCipherText:
+    def test_from_packed_rejects_odd_byte_count(self):
+        with pytest.raises(BadLength):
+            CipherText.from_packed(bytes(3))
+
+    @pytest.mark.parametrize("parse,text,error", [
+        ("hex", "abc", BadLength),                 # odd length
+        ("hex", "abcdef", BadLength),              # whole bytes, not whole symbols
+        ("hex", "ab cd", ParseError),              # embedded whitespace
+        ("hex", "abcd\tef01", ParseError),
+        ("hex", "ab_c", ParseError),
+        ("hex", "+abc", ParseError),
+        ("hex", "-abc", ParseError),
+        ("hex", "0xab", ParseError),
+        ("hex", "ab\uff11c", ParseError),          # full-width digit one
+        ("hex", "ab\ud800c", ParseError),          # lone surrogate
+        ("bits", "0" * 15, BadLength),
+        ("bits", "0101 0101" + "0" * 7, ParseError),
+        ("bits", "0_1" + "0" * 13, ParseError),
+        ("bits", "+1" + "0" * 14, ParseError),
+        ("bits", "0b1" + "0" * 13, ParseError),
+        ("bits", "\uff11" + "0" * 15, ParseError),
+        ("bits", "\ud800" + "0" * 15, ParseError),
+        ("file", "fmt=hex\n" + "01" * 9, BadLength),  # bits body after a hex header
+        ("file", "fmt=hex\n0101 0101", ParseError),
+        ("file", "fmt=hex\nabc\n", BadLength),
+    ])
+    def test_malformed_text_error_type(self, parse, text, error):
+        parser = {"hex": CipherText.from_hex, "bits": CipherText.from_bitstring,
+                  "file": parse_ciphertext}[parse]
+        with pytest.raises(error):
+            parser(text)
+
+    @pytest.mark.parametrize("parser,text,message", [
+        (CipherText.from_hex, "ab_c", "invalid hex digit '_'"),
+        (CipherText.from_hex, "ab\ud800c", "invalid hex digit '\\ud800'"),
+        (CipherText.from_hex, "abcdef", "ciphertext bit count 24 is not a multiple of 16"),
+        (CipherText.from_bitstring, "0101 0101", "ciphertext may contain only 0 and 1, got ' '"),
+        (CipherText.from_bitstring, "0" * 15, "ciphertext bit count 15 is not a multiple of 16"),
+    ])
+    def test_error_messages(self, parser, text, message):
+        with pytest.raises(CipherError) as err:
+            parser(text)
+        assert str(err.value) == message
+
+    def test_hex_header_takes_a_bits_body_as_hex(self):
+        body = "0110" * 4
+        assert parse_ciphertext("fmt=hex\n" + body) == CipherText.from_hex(body)
+        assert CipherText.from_hex(body).n_symbols == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                             st.sampled_from("0123456789abcdefABCDEF"))))
+    def test_arbitrary_text_fails_only_as_parse_or_length_error(self, text):
+        cases = ((CipherText.from_hex, CipherText.to_hex, text.lower()),
+                 (CipherText.from_bitstring, CipherText.to_bitstring, text))
+        for parse, render, canonical in cases:
+            try:
+                ct = parse(text)
+            except (ParseError, BadLength):
+                continue
+            assert render(ct) == canonical
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=64).map(lambda raw: raw[:len(raw) // 2 * 2]))
+    def test_valid_text_round_trips(self, raw):
+        ct = CipherText.from_packed(raw)
+        assert CipherText.from_hex(ct.to_hex()) == ct
+        assert CipherText.from_hex(ct.to_hex().upper()) == ct
+        assert CipherText.from_bitstring(ct.to_bitstring()) == ct
+        assert len(ct.to_bitstring()) == 8 * len(raw) == len(ct.cells)
+
+    def test_round_trip_memory_per_plaintext_byte(self):
+        # encrypt -> hex -> parse -> decrypt of 32 KB holds the packed form
+        # (2 bytes per symbol) and the hex text, never one cell per bit
+        key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
+        data = random.Random(6).randbytes(32768)
+        decrypt(encrypt(data[:16], key), key)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            text = format_ciphertext(encrypt(data, key), "hex")
+            recovered = decrypt(parse_ciphertext(text), key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recovered == data
+        assert peak < 24 * len(data)
 
 
 class TestCipherTextFormats:
