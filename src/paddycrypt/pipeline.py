@@ -119,12 +119,19 @@ class CipherText:
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":
-        # bytes.fromhex would skip whitespace, and raise ValueError on an
-        # odd length, so check the characters and the length first.
-        _check_chars(text, _HEX_DIGITS, "invalid hex digit {!r}")
+        # bytes.fromhex checks the digits without copying the text, but it
+        # skips whitespace and rejects an odd length: a text it rejects or
+        # reads short gets the character check, then the length check, so
+        # the error is the one those checks alone would give.
+        try:
+            raw = bytes.fromhex(text)
+        except ValueError:
+            raw = b""
+        if 2 * len(raw) != len(text):
+            _check_chars(text, _HEX_DIGITS, "invalid hex digit {!r}")
         if len(text) % 4:
             raise BadLength(f"ciphertext bit count {4 * len(text)} is not a multiple of 16")
-        return cls.from_packed(bytes.fromhex(text))
+        return cls.from_packed(raw)
 
 
 def encrypt(plaintext, key: CipherParams) -> CipherText:
@@ -250,7 +257,7 @@ def format_ciphertext(ciphertext: CipherText, fmt: str = "bits") -> str:
     if fmt == "bits":
         return ciphertext.to_bitstring() + "\n"
     if fmt == "hex":
-        return CIPHERTEXT_HEX_HEADER + "\n" + ciphertext.to_hex() + "\n"
+        return f"{CIPHERTEXT_HEX_HEADER}\n{ciphertext.to_hex()}\n"
     raise ValueError(f"format must be 'bits' or 'hex', got {fmt!r}")
 
 

@@ -1,5 +1,9 @@
 """End-to-end tests of the command-line front-end."""
 
+import os
+import stat
+import threading
+
 import pytest
 
 from paddycrypt.cli import _build_parser, main
@@ -80,6 +84,51 @@ class TestRoundTrip:
         assert run("encrypt", str(src), "--key", keyfile, "-o", str(first)) == 0
         assert run("encrypt", str(src), "--key", keyfile, "-o", str(second)) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestOutputFiles:
+    def test_shorter_output_replaces_longer_file(self, tmp_path, keyfile):
+        ct = tmp_path / "msg.ct"
+        out = tmp_path / "plain.out"
+        ct.write_text("0" * 4096)
+        out.write_bytes(b"x" * 4096)
+        assert run("encrypt", "--text", "rice", "--key", keyfile, "--format", "hex", "-o", str(ct)) == 0
+        assert len(ct.read_text()) == len("fmt=hex\n") + 16 + 1
+        assert run("decrypt", str(ct), "--key", keyfile, "-o", str(out)) == 0
+        assert out.read_bytes() == b"rice"
+
+    def test_empty_output_empties_file(self, tmp_path, keyfile):
+        ct = tmp_path / "msg.ct"
+        out = tmp_path / "plain.out"
+        out.write_bytes(b"stale")
+        assert run("encrypt", "--text", "", "--key", keyfile, "-o", str(ct)) == 0
+        assert run("decrypt", str(ct), "--key", keyfile, "-o", str(out)) == 0
+        assert out.read_bytes() == b""
+
+    def test_new_file_mode_follows_umask(self, tmp_path, keyfile):
+        ct = tmp_path / "msg.ct"
+        old = os.umask(0o027)
+        try:
+            assert run("encrypt", "--text", "rice", "--key", keyfile, "-o", str(ct)) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(ct.stat().st_mode) == 0o640
+
+    def test_output_to_character_device(self, keyfile):
+        assert run("encrypt", "--text", "rice", "--key", keyfile, "-o", os.devnull) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_named_pipe(self, tmp_path, keyfile):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            assert run("encrypt", "--text", "rice", "--key", keyfile, "--format", "hex", "-o", str(fifo)) == 0
+        finally:
+            reader.join(timeout=10)
+        assert received and received[0].startswith("fmt=hex\n")
 
 
 class TestKeygen:

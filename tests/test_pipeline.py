@@ -377,6 +377,8 @@ class TestPackedCipherText:
         (CipherText.from_hex, "ab_c", "invalid hex digit '_'"),
         (CipherText.from_hex, "ab\ud800c", "invalid hex digit '\\ud800'"),
         (CipherText.from_hex, "abcdef", "ciphertext bit count 24 is not a multiple of 16"),
+        (CipherText.from_hex, "ab cdef0", "invalid hex digit ' '"),  # bytes.fromhex skips it
+        (CipherText.from_hex, "abcdefg", "invalid hex digit 'g'"),   # odd length and a bad digit
         (CipherText.from_bitstring, "0101 0101", "ciphertext may contain only 0 and 1, got ' '"),
         (CipherText.from_bitstring, "0" * 15, "ciphertext bit count 15 is not a multiple of 16"),
     ])
