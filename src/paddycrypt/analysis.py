@@ -176,10 +176,11 @@ def brute_force(
     scored.  The filter is a join on lane text: every caesar-lane
     candidate (k, rc) is decrypted once and indexed by the text it gives,
     so each affine-lane candidate (m, b, ra) costs one dict lookup rather
-    than one comparison per (k, rc).  candidates_tried still counts every
-    grid key.  Each distinct agreeing text is scored once.  The best score
-    wins, ties broken by the smallest (m, b, k, ra, rc).  Raises NotFound
-    when nothing passes the filter (and min_score).
+    than one comparison per (k, rc).  candidates_tried is still the whole
+    grid, keyspace_size(n, cap_b, cap_k).  Each distinct agreeing text is
+    scored once.  The best score wins, ties broken by the smallest
+    (m, b, k, ra, rc).  Raises NotFound when nothing passes the filter (and
+    min_score).
     """
     n = ALPHABET_SIZES[mode]
     _check_caps(n, cap_b, cap_k)
@@ -201,11 +202,9 @@ def brute_force(
         for rc in range(1, k + 1):
             pb = pb.translate(unshift[k])
             caesar_keys.setdefault(pb, (k, rc))
-    caesar_count = cap_k * (cap_k + 1) // 2
 
     scores = {}  # agreeing plaintext -> scorer(plaintext)
     best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
-    tried = 0
     for m in range(1, n):
         if gcd(m, n) != 1:
             continue
@@ -215,7 +214,6 @@ def brute_force(
             pa = codes_a
             for ra in range(1, b + 1):
                 pa = pa.translate(step)
-                tried += caesar_count
                 match = caesar_keys.get(pa)
                 if match is None:
                     continue
@@ -236,14 +234,15 @@ def brute_force(
         )
     score, (m, b, k, ra, rc), text = best
     key = CipherParams(n=n, m=m, b=b, k=k, ra=ra, rc=rc)
+    keyspace = keyspace_size(n, cap_b, cap_k)
     return AttackResult(
         method="brute-force",
         recovered_key=key,
         plaintext=text,
         score=score,
-        candidates_tried=tried,
+        candidates_tried=keyspace,
         elapsed=elapsed,
-        keyspace=keyspace_size(n, cap_b, cap_k),
+        keyspace=keyspace,
     )
 
 
@@ -268,10 +267,8 @@ def caesar_lane_attack(
     step = affine_table(n, 1, n - 1)
 
     best = None  # (score, shift, plaintext bytes)
-    tried = 0
     text = codes_b
     for shift in range(n):
-        tried += 1
         score = scorer(text)
         if best is None or score > best[0]:
             best = (score, shift, text)
@@ -286,7 +283,7 @@ def caesar_lane_attack(
         recovered_key=None,
         plaintext=text,
         score=score,
-        candidates_tried=tried,
+        candidates_tried=n,
         elapsed=elapsed,
         effective_shift=shift,
     )

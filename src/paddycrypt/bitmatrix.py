@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadLength, LengthMismatch
+from .errors import BadLength, LengthMismatch, ParseError
 
 COLS = 8
 
@@ -69,10 +69,7 @@ def bits_to_symbol(bits) -> int:
     """Inverse of symbol_to_bits."""
     if len(bits) != 8:
         raise BadLength(f"need exactly 8 bits, got {len(bits)}")
-    value = 0
-    for bit in bits:
-        value = value << 1 | bit
-    return value
+    return pack_cells(bits)[0]
 
 
 def symbols_to_bits(symbols) -> list[int]:
@@ -82,7 +79,7 @@ def symbols_to_bits(symbols) -> list[int]:
 def bits_to_symbols(bits) -> list[int]:
     if len(bits) % 8:
         raise BadLength(f"bit count {len(bits)} is not a multiple of 8")
-    return [bits_to_symbol(bits[i:i + 8]) for i in range(0, len(bits), 8)]
+    return list(pack_cells(bits))
 
 
 @dataclass(frozen=True)
@@ -214,11 +211,18 @@ def build_permutation(n_symbols: int) -> PermutationMap:
     return PermutationMap(tuple(forward), tuple(inverse))
 
 
-def pack_cells(cells: bytes) -> bytes:
+def pack_cells(cells) -> bytes:
     """Packed form of 0/1 cells, 8 to a byte, first cell most significant.
 
-    The cell count must be a multiple of 8.
+    The cell count must be a multiple of 8.  Raises ParseError when a cell
+    is not 0 or 1.
     """
+    try:
+        cells = bytes(cells)
+        if cells.translate(None, b"\x00\x01"):
+            raise ValueError("stray cell")
+    except (TypeError, ValueError):
+        raise ParseError("ciphertext cells must be 0 or 1") from None
     value = 0
     for j in range(8):
         value |= int.from_bytes(cells[j::8], "big") << (7 - j)
@@ -302,5 +306,5 @@ def unharvest(bits) -> tuple[list, list]:
     """Undo harvest and placement: ciphertext bits -> (affine, caesar) lanes."""
     if len(bits) % 16:
         raise BadLength(f"ciphertext bit count {len(bits)} is not a multiple of 16")
-    codes_a, codes_b = deinterleave(pack_cells(bytes(bits)))
+    codes_a, codes_b = deinterleave(pack_cells(bits))
     return symbols_to_bits(codes_a), symbols_to_bits(codes_b)

@@ -1,7 +1,9 @@
 """Command-line front-end.
 
-Payload (ciphertext, plaintext, keys, CSV reports) goes to the output path
-or stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 runtime
+Every input and output is bytes: key and ciphertext text is decoded where
+it is read, and text output is encoded where it is written.  Payload
+(ciphertext, plaintext, keys, CSV reports) goes to the output path or
+stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 runtime
 error, 2 usage error.
 """
 
@@ -24,85 +26,78 @@ def _add_input_args(parser: argparse.ArgumentParser, what: str) -> None:
                         help=f"inline {what} instead of a path (its argv bytes)")
 
 
-def _read_input(args) -> bytes:
-    if args.text is not None and args.input is not None:
+def _read(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_input(args, stdin_default: bool = False) -> bytes:
+    """The payload: --text, else the INPUT path, else stdin if stdin_default."""
+    text = getattr(args, "text", None)
+    if text is not None and args.input is not None:
         raise CipherError("give either an input path or --text, not both")
-    if args.text is not None:
+    if text is not None:
         try:  # the exact argv bytes, even ones that are not UTF-8
-            return os.fsencode(args.text)
+            return os.fsencode(text)
         except UnicodeEncodeError as err:
             raise CipherError(f"--text cannot be encoded: {err}") from None
+    if stdin_default:
+        return _read(args.input or "-")
     if args.input is None:
         raise CipherError("no input: give a path, -, or --text")
-    if args.input == "-":
-        return sys.stdin.buffer.read()
-    with open(args.input, "rb") as fh:
-        return fh.read()
+    return _read(args.input)
 
 
-def _read_text_file(path: str) -> str:
-    # Undecodable bytes become U+FFFD, which the parsers reject (bar comments).
-    if path == "-":
-        return sys.stdin.buffer.read().decode("utf-8", "replace")
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return fh.read()
+# Undecodable bytes become U+FFFD, which the parsers reject (bar comments).
+def _load_key(args) -> pipeline.CipherParams:
+    return pipeline.parse_key(_read(args.key).decode("utf-8", "replace"))
+
+
+def _read_ciphertext(args) -> pipeline.CipherText:
+    text = _read_input(args, stdin_default=True).decode("utf-8", "replace")
+    return pipeline.parse_ciphertext(text)
 
 
 def _open_in_place(path, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_file(path, data, mode: str, **kwargs) -> None:
-    """Replace the contents of path with data.
+def _write(path, data: bytes) -> None:
+    """Write data to stdout (path None) or make it the contents of path.
 
     A regular file is written over in place and then cut to its new length.
     Truncating it to zero on open instead would make ext4 (auto_da_alloc)
     start writing it out to disk when it is closed, which takes about 0.1 ms
     a write, more when the disk is busy.
     """
-    with open(path, mode, opener=_open_in_place, **kwargs) as fh:
+    if path is None:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+        return
+    with open(path, "wb", opener=_open_in_place) as fh:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
 
 
-def _write_text(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-        return
-    _write_file(path, text, "w", encoding="utf-8")
-
-
-def _write_bytes(path, data: bytes) -> None:
-    if path is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-        return
-    _write_file(path, data, "wb")
-
-
-def _load_key(args) -> pipeline.CipherParams:
-    return pipeline.parse_key(_read_text_file(args.key))
-
-
 def _cmd_encrypt(args) -> int:
     key = _load_key(args)
     ciphertext = pipeline.encrypt(_read_input(args), key)
-    _write_text(args.output, pipeline.format_ciphertext(ciphertext, args.format))
+    _write(args.output, pipeline.format_ciphertext(ciphertext, args.format).encode())
     return 0
 
 
 def _cmd_decrypt(args) -> int:
     key = _load_key(args)
-    ciphertext = pipeline.parse_ciphertext(_read_text_file(args.input or "-"))
-    _write_bytes(args.output, pipeline.decrypt(ciphertext, key))
+    _write(args.output, pipeline.decrypt(_read_ciphertext(args), key))
     return 0
 
 
 def _cmd_keygen(args) -> int:
     key = pipeline.keygen(mode=args.mode, seed=args.seed)
-    _write_text(args.output, pipeline.serialize_key(key))
+    _write(args.output, pipeline.serialize_key(key).encode())
     return 0
 
 
@@ -110,40 +105,36 @@ _SCORERS = {"english": analysis.english_score, "printable": analysis.printable_r
 
 
 def _cmd_crack(args) -> int:
-    ciphertext = pipeline.parse_ciphertext(_read_text_file(args.input or "-"))
+    ciphertext = _read_ciphertext(args)
     scorer = _SCORERS[args.scorer]
     if args.method == "grid":
         result = analysis.brute_force(
             ciphertext, scorer, mode=args.mode,
             cap_b=args.cap_b, cap_k=args.cap_k, min_score=args.min_score,
         )
-        _write_text(args.output, pipeline.serialize_key(result.recovered_key))
+        _write(args.output, pipeline.serialize_key(result.recovered_key).encode())
     else:
         result = analysis.caesar_lane_attack(
             ciphertext, scorer, mode=args.mode, min_score=args.min_score,
         )
-        _write_bytes(args.output, result.plaintext)
+        _write(args.output, result.plaintext)
     if args.report:
-        _write_text(args.report, analysis.attack_csv(result))
+        _write(args.report, analysis.attack_csv(result).encode())
     if args.plaintext_out:
-        _write_bytes(args.plaintext_out, result.plaintext)
+        _write(args.plaintext_out, result.plaintext)
     return 0
 
 
 def _cmd_avalanche(args) -> int:
     key = _load_key(args)
     reports = analysis.avalanche(_read_input(args), key)
-    _write_text(args.output, analysis.avalanche_csv(reports))
+    _write(args.output, analysis.avalanche_csv(reports).encode())
     return 0
 
 
 def _cmd_freq(args) -> int:
-    if args.bits:
-        ciphertext = pipeline.parse_ciphertext(_read_text_file(args.input or "-"))
-        profile = analysis.frequency_profile(ciphertext)
-    else:
-        profile = analysis.frequency_profile(_read_input(args))
-    _write_text(args.output, analysis.frequency_csv(profile))
+    data = _read_ciphertext(args) if args.bits else _read_input(args)
+    _write(args.output, analysis.frequency_csv(analysis.frequency_profile(data)).encode())
     return 0
 
 
@@ -203,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     frq = sub.add_parser("freq", help="value histogram of a file (CSV)")
     _add_input_args(frq, "data")
     frq.add_argument("--bits", action="store_true",
-                     help="input is a ciphertext file; profile its bit balance")
+                     help="input is ciphertext; profile its bit balance")
     frq.add_argument("-o", "--output", metavar="PATH")
     frq.set_defaults(func=_cmd_freq)
 

@@ -70,12 +70,6 @@ class CipherText:
     def __init__(self, cells) -> None:
         if len(cells) % 16:
             raise BadLength(f"ciphertext bit count {len(cells)} is not a multiple of 16")
-        try:
-            cells = bytes(cells)
-            if cells.translate(None, b"\x00\x01"):
-                raise ValueError("stray cell")
-        except (TypeError, ValueError):
-            raise ParseError("ciphertext cells must be 0 or 1") from None
         object.__setattr__(self, "packed", pack_cells(cells))
 
     @classmethod
@@ -198,15 +192,7 @@ def keygen(mode: str = "byte", seed=None) -> CipherParams:
 
 def serialize_key(key: CipherParams) -> str:
     """Render a key in the line-based key-file format."""
-    return (
-        f"mode={key.mode}\n"
-        f"n={key.n}\n"
-        f"m={key.m}\n"
-        f"b={key.b}\n"
-        f"k={key.k}\n"
-        f"ra={key.ra}\n"
-        f"rc={key.rc}\n"
-    )
+    return "".join(f"{name}={getattr(key, name)}\n" for name in KEY_FIELDS)
 
 
 def parse_key(text: str) -> CipherParams:
@@ -237,7 +223,7 @@ def parse_key(text: str) -> CipherParams:
     if mode not in ALPHABET_SIZES:
         raise ParseError(f"mode must be 'byte' or 'letters', got {mode!r}")
     numbers = {}
-    for name in ("n", "m", "b", "k", "ra", "rc"):
+    for name in KEY_FIELDS[1:]:  # every field but mode
         value = fields[name]
         try:
             # int() alone would also take '_', signs and non-ASCII digits.

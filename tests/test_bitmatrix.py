@@ -21,7 +21,8 @@ from paddycrypt.bitmatrix import (
     unharvest,
     unpack_cells,
 )
-from paddycrypt.errors import BadLength, LengthMismatch
+from paddycrypt.errors import BadLength, LengthMismatch, ParseError
+from paddycrypt.pipeline import CipherText
 
 
 def naive_interleave(lane_a, lane_b):
@@ -79,6 +80,14 @@ class TestBitConversion:
         assert bits_to_symbols(symbols_to_bits(values)) == values
         with pytest.raises(BadLength):
             bits_to_symbols([0] * 9)
+
+    @pytest.mark.parametrize("convert", [CipherText, unharvest, bits_to_symbols,
+                                         lambda cells: bits_to_symbol(cells[:8])])
+    @pytest.mark.parametrize("cells", [[2] * 16, [-1] + [0] * 15, ["x"] * 16,
+                                       [0, 1, 2] + [0] * 13, [256] + [0] * 15])
+    def test_every_cell_reader_rejects_non_bits(self, convert, cells):
+        with pytest.raises(ParseError, match="^ciphertext cells must be 0 or 1$"):
+            convert(cells)
 
 
 class TestPlace:

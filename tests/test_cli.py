@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line front-end."""
 
+import io
 import os
 import stat
+import sys
 import threading
 
 import pytest
@@ -22,6 +24,14 @@ def keyfile(tmp_path):
     path = tmp_path / "key.txt"
     path.write_text(serialize_key(CipherParams(n=256, m=3, b=7, k=5, ra=2, rc=4)))
     return str(path)
+
+
+@pytest.fixture
+def stdin(monkeypatch):
+    """Feed the given bytes to the CLI as its stdin."""
+    def feed(data: bytes) -> None:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    return feed
 
 
 def run(*argv):
@@ -213,6 +223,63 @@ class TestReportsCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3  # header + two bit values
 
+    def test_freq_bits_inline_text(self, capsys):
+        assert run("freq", "--bits", "--text", "0101010101010111") == 0
+        assert capsys.readouterr().out == "value,fraction\n0,0.437500\n1,0.562500\n"
+
+
+class TestStdinDefault:
+    """decrypt, crack and freq --bits read stdin when INPUT is not given."""
+
+    KEY = CipherParams(n=256, m=3, b=7, k=5, ra=2, rc=4)
+    MESSAGE = b"meet me at the usual place"
+    CT = format_ciphertext(encrypt(MESSAGE, KEY), "hex").encode()
+
+    def test_decrypt(self, stdin, keyfile, capsysbinary):
+        stdin(self.CT)
+        assert run("decrypt", "--key", keyfile) == 0
+        assert capsysbinary.readouterr().out == self.MESSAGE
+
+    def test_crack(self, stdin, capsysbinary):
+        stdin(self.CT)
+        assert run("crack", "--cap-b", "7", "--cap-k", "5") == 0
+        assert parse_key(capsysbinary.readouterr().out.decode()) == self.KEY
+        stdin(self.CT)
+        assert run("crack", "--method", "caesar-lane") == 0
+        assert capsysbinary.readouterr().out == self.MESSAGE
+
+    def test_freq_bits(self, stdin, tmp_path, capsysbinary):
+        ct = tmp_path / "msg.ct"
+        ct.write_bytes(self.CT)
+        assert run("freq", "--bits", str(ct)) == 0
+        from_path = capsysbinary.readouterr().out
+        stdin(self.CT)
+        assert run("freq", "--bits") == 0
+        assert capsysbinary.readouterr().out == from_path
+
+    def test_encrypt_needs_an_input(self, stdin, keyfile, capsys):
+        stdin(b"not read")
+        assert run("encrypt", "--key", keyfile) == 1
+        assert capsys.readouterr().err == "error: no input: give a path, -, or --text\n"
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("fmt", ["bits", "hex"])
+    def test_crlf_files_parse_like_lf(self, tmp_path, fmt, capsysbinary):
+        key = CipherParams(n=256, m=3, b=7, k=5, ra=2, rc=4)
+        texts = {"key": serialize_key(key), "ct": format_ciphertext(encrypt(b"rice", key), fmt)}
+        outputs = []
+        for ending in ("\n", "\r\n"):
+            paths = {}
+            for name, text in texts.items():
+                paths[name] = tmp_path / f"{name}{len(ending)}"
+                paths[name].write_bytes(text.replace("\n", ending).encode())
+            assert run("decrypt", str(paths["ct"]), "--key", str(paths["key"])) == 0
+            assert run("freq", "--bits", str(paths["ct"])) == 0
+            outputs.append(capsysbinary.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith(b"rice") and outputs[0].err == b""
+
 
 class TestDiagnostics:
     def test_invalid_key_file(self, tmp_path, capsys):
@@ -282,6 +349,14 @@ class TestDiagnostics:
         code = run("encrypt", str(src), "--text", "y", "--key", keyfile)
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_freq_bits_both_input_and_text(self, tmp_path, keyfile, capsys):
+        ct = tmp_path / "msg.ct"
+        ct.write_text(format_ciphertext(encrypt(b"some data", parse_key(open(keyfile).read()))))
+        assert run("freq", "--bits", str(ct), "--text", "0" * 16) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: give either an input path or --text, not both\n"
 
 
 class TestParserReuse:
