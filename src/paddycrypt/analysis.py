@@ -23,10 +23,10 @@ from string import ascii_lowercase, ascii_uppercase
 
 from .bitmatrix import deinterleave
 from .ciphers import (
-    ALPHABET_SIZES,
     LANE_CODES,
     CipherParams,
     affine_table,
+    alphabet_size,
     check_lane_codes,
     mod_inverse,
 )
@@ -149,8 +149,8 @@ def keyspace_size(n: int, cap_b: int, cap_k: int) -> int:
 
 
 def is_degenerate_key(key: CipherParams) -> bool:
-    """True when the affine lane collapses to a bare shift (m == 1)."""
-    return key.m == 1
+    """True when the affine lane collapses to a bare shift (m^ra = 1 mod n)."""
+    return pow(key.m, key.ra, key.n) == 1
 
 
 def _check_caps(n: int, cap_b: int, cap_k: int) -> None:
@@ -182,7 +182,7 @@ def brute_force(
     (m, b, k, ra, rc).  Raises NotFound when nothing passes the filter (and
     min_score).
     """
-    n = ALPHABET_SIZES[mode]
+    n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
 
@@ -259,7 +259,7 @@ def caesar_lane_attack(
     candidates exist regardless of the key's iteration count.  No full key
     is recovered; the result carries the winning shift and plaintext.
     """
-    n = ALPHABET_SIZES[mode]
+    n = alphabet_size(mode)
     start = time.perf_counter()
 
     _, codes_b = deinterleave(ciphertext.packed)

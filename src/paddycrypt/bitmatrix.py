@@ -201,13 +201,10 @@ def build_permutation(n_symbols: int) -> PermutationMap:
         raise ValueError(f"symbol count must be >= 0, got {n_symbols}")
     half = COLS * n_symbols
     ids = list(range(2 * half))
-    shuffled = harvest(place(ids[:half], ids[half:]))
+    inverse = harvest(place(ids[:half], ids[half:]))
     forward = [0] * len(ids)
-    for position, lane_index in enumerate(shuffled):
+    for position, lane_index in enumerate(inverse):
         forward[lane_index] = position
-    inverse = [0] * len(ids)
-    for lane_index, position in enumerate(forward):
-        inverse[position] = lane_index
     return PermutationMap(tuple(forward), tuple(inverse))
 
 

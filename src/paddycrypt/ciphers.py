@@ -15,6 +15,8 @@ Each lane of the combined scheme re-applies its single-step map a secret
 number of times (``ra`` for the affine lane, ``rc`` for the caesar lane),
 so one (m, b, k) family yields a different ciphertext for every iteration
 count.  The counts are bounded by the shifts themselves: ra <= b, rc <= k.
+r steps of s -> m*s + b are one affine map, s -> m^r*s + b*(m^(r-1)+...+1),
+so an iterated lane is a single ``affine_table`` too.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ ALPHABET_SIZES = {"byte": 256, "letters": 26}
 
 # The byte each symbol travels as, indexed by alphabet size.
 LANE_CODES = {256: bytes(range(256)), 26: b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
+
+
+def alphabet_size(mode: str) -> int:
+    """n for the mode name; raises ValueError for an unknown mode."""
+    try:
+        return ALPHABET_SIZES[mode]
+    except KeyError:
+        raise ValueError(f"mode must be one of {sorted(ALPHABET_SIZES)}, got {mode!r}") from None
 
 
 def mod_inverse(m: int, n: int) -> int:
@@ -124,23 +134,10 @@ def affine_table(n: int, m: int, b: int) -> bytes:
     return bytes.maketrans(codes, (codes * (m + 1))[b:b + m * n:m])
 
 
-def _iterated_table(step: bytes, rounds: int) -> bytes:
-    """Lookup table for `step` applied `rounds` times (square-and-multiply
-    on map composition; never touches the algebraic closed form)."""
-    result = LANE_CODES[256]
-    power = step
-    while rounds:
-        if rounds & 1:
-            result = result.translate(power)
-        rounds >>= 1
-        if rounds:
-            power = power.translate(power)
-    return result
-
-
 def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
     """The lane's step map applied ra (affine) or rc (caesar) times, as a
-    ``bytes.translate`` table over lane codes; decrypt=True inverts it."""
+    ``bytes.translate`` table over lane codes; decrypt=True inverts it.
+    Built in closed form: r steps of s -> m*s + b are s -> m^r*s + b*(m^(r-1)+...+1)."""
     n = params.n
     if lane == LANE_AFFINE:
         rounds, bound, name = params.ra, params.b, "ra"
@@ -157,7 +154,10 @@ def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
     # object still fails here instead of producing undecryptable output.
     if not 1 <= rounds <= bound:
         raise IterationBoundExceeded(f"{name}={rounds} outside [1, {bound}]")
-    return _iterated_table(affine_table(n, m, b % n), rounds)
+    # The division is exact, as m^r = 1 (mod m - 1); reducing m^r mod
+    # (m - 1)*n keeps the quotient right mod n.
+    total = rounds if m == 1 else (pow(m, rounds, (m - 1) * n) - 1) // (m - 1)
+    return affine_table(n, pow(m, rounds, n), b * total % n)
 
 
 def check_lane_codes(codes: bytes, n: int) -> None:

@@ -15,7 +15,7 @@ import os
 import stat
 import sys
 
-from . import analysis, pipeline
+from . import analysis, ciphers, pipeline
 from .errors import CipherError
 
 
@@ -43,11 +43,11 @@ def _read_input(args, stdin_default: bool = False) -> bytes:
             return os.fsencode(text)
         except UnicodeEncodeError as err:
             raise CipherError(f"--text cannot be encoded: {err}") from None
+    if args.input is not None:
+        return _read(args.input)
     if stdin_default:
-        return _read(args.input or "-")
-    if args.input is None:
-        raise CipherError("no input: give a path, -, or --text")
-    return _read(args.input)
+        return _read("-")
+    raise CipherError("no input: give a path, -, or --text")
 
 
 # Undecodable bytes become U+FFFD, which the parsers reject (bar comments).
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
             setattr(args, name, "--")
     if args.command == "crack":
         try:
-            analysis._check_caps(pipeline.ALPHABET_SIZES[args.mode], args.cap_b, args.cap_k)
+            analysis._check_caps(ciphers.alphabet_size(args.mode), args.cap_b, args.cap_k)
         except ValueError as err:
             parser.error(str(err))
     try:

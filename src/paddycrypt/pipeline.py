@@ -28,6 +28,7 @@ from .ciphers import (
     LANE_CAESAR,
     LANE_CODES,
     CipherParams,
+    alphabet_size,
     check_lane_codes,
     lane_table,
 )
@@ -177,10 +178,7 @@ def keygen(mode: str = "byte", seed=None) -> CipherParams:
     Without a seed the system RNG is used; pass a seed for reproducible
     keys (test harnesses, the CLI --seed flag).
     """
-    try:
-        n = ALPHABET_SIZES[mode]
-    except KeyError:
-        raise ValueError(f"mode must be one of {sorted(ALPHABET_SIZES)}, got {mode!r}") from None
+    n = alphabet_size(mode)
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     m = rng.randrange(1, n)
     while gcd(m, n) != 1:

@@ -27,8 +27,8 @@ from paddycrypt.analysis import (
     mean_fraction,
     printable_ratio,
 )
-from paddycrypt.bitmatrix import build_permutation
-from paddycrypt.ciphers import CipherParams
+from paddycrypt.bitmatrix import build_permutation, deinterleave
+from paddycrypt.ciphers import LANE_AFFINE, CipherParams, affine_table, lane_table
 from paddycrypt.errors import CipherError, IntegrityMismatch, NonLetterInput, NotFound
 from paddycrypt.pipeline import CipherText, decrypt, encrypt, keygen
 
@@ -130,6 +130,17 @@ class TestFrequencyProfile:
         sigma = math.sqrt(0.25 / len(ct.bits))
         assert abs(profile[1] - 0.5) < 3 * sigma
         assert profile == [ct.bits.count(0) / len(ct.bits), ct.bits.count(1) / len(ct.bits)]
+
+
+@pytest.mark.parametrize("call", [
+    keygen,
+    lambda mode: brute_force(encrypt(b"x", keygen(seed=1)), mode=mode),
+    lambda mode: caesar_lane_attack(encrypt(b"x", keygen(seed=1)), mode=mode),
+], ids=["keygen", "brute_force", "caesar_lane_attack"])
+def test_unknown_mode(call):
+    with pytest.raises(ValueError) as err:
+        call("bogus")
+    assert str(err.value) == "mode must be one of ['byte', 'letters'], got 'bogus'"
 
 
 class TestBruteForce:
@@ -411,6 +422,21 @@ class TestReports:
 def test_degenerate_key_flag():
     assert is_degenerate_key(CipherParams(n=256, m=1, b=1, k=1, ra=1, rc=1))
     assert not is_degenerate_key(CipherParams(n=256, m=3, b=1, k=1, ra=1, rc=1))
+    # m = -1 applied twice is the identity: the affine lane is the plaintext.
+    key = CipherParams(n=256, m=255, b=5, k=7, ra=2, rc=3)
+    assert is_degenerate_key(key)
+    assert deinterleave(encrypt(b"attack at dawn", key).packed)[0] == b"attack at dawn"
+
+
+def test_degenerate_key_iff_affine_lane_is_a_shift():
+    shifts = {affine_table(26, 1, s) for s in range(26)}
+    for m in range(1, 26):
+        if math.gcd(m, 26) != 1:
+            continue
+        for b in range(1, 26):
+            for ra in range(1, b + 1):
+                key = CipherParams(n=26, m=m, b=b, k=1, ra=ra, rc=1)
+                assert is_degenerate_key(key) == (lane_table(key, LANE_AFFINE) in shifts), key
 
 
 def test_keyspace_monotone_in_caps():

@@ -18,6 +18,7 @@ from paddycrypt.ciphers import (
     caesar_encrypt_symbol,
     iterate_decrypt,
     iterate_encrypt,
+    lane_table,
     mod_inverse,
 )
 from paddycrypt.errors import InvalidKey, IterationBoundExceeded, NoInverse
@@ -305,6 +306,44 @@ class TestIterate:
             key = CipherParams(n=26, m=3, b=5, k=1, ra=r, rc=1)
             seen.add(tuple(iterate_encrypt(stream, key, LANE_AFFINE)))
         assert len(seen) == 5
+
+
+class TestLaneTable:
+    """lane_table against r-fold composition of the one-step affine_table."""
+
+    @staticmethod
+    def check_rounds(n, m, b, lane, keys):
+        """keys(r) is the key with r rounds on `lane`, for r = 1..b."""
+        codes = LANE_CODES[n]
+        step = affine_table(n, m, b)
+        unstep = bytes.maketrans(codes.translate(step), codes)
+        enc = dec = LANE_CODES[256]
+        for r in range(1, b + 1):
+            enc, dec = enc.translate(step), dec.translate(unstep)
+            key = keys(r)
+            assert lane_table(key, lane) == enc, (key, lane)
+            assert lane_table(key, lane, decrypt=True) == dec, (key, lane)
+
+    def check_affine(self, n, m, b):
+        self.check_rounds(n, m, b, LANE_AFFINE,
+                          lambda r: CipherParams(n=n, m=m, b=b, k=1, ra=r, rc=1))
+
+    def check_caesar(self, n, k):
+        self.check_rounds(n, 1, k, LANE_CAESAR,
+                          lambda r: CipherParams(n=n, m=1, b=1, k=k, ra=1, rc=r))
+
+    def test_exhaustive_26(self):
+        for m in units(26):
+            for b in range(1, 26):
+                self.check_affine(26, m, b)
+        for k in range(1, 26):
+            self.check_caesar(26, k)
+
+    def test_units_256(self):
+        for m in units(256):
+            for b in (1, 2, 128, 255):
+                self.check_affine(256, m, b)
+        self.check_caesar(256, 255)
 
 
 @st.composite

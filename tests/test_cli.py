@@ -5,6 +5,7 @@ import os
 import stat
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -217,7 +218,7 @@ class TestReportsCommands:
 
     def test_freq_bits(self, tmp_path, keyfile, capsys):
         ct = tmp_path / "msg.ct"
-        key = parse_key(open(keyfile).read())
+        key = parse_key(Path(keyfile).read_text())
         ct.write_text(format_ciphertext(encrypt(b"some data", key)))
         assert run("freq", str(ct), "--bits") == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -262,6 +263,19 @@ class TestStdinDefault:
         assert run("encrypt", "--key", keyfile) == 1
         assert capsys.readouterr().err == "error: no input: give a path, -, or --text\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["encrypt", "--key"], ["decrypt", "--key"], ["crack"],
+        ["avalanche", "--key"], ["freq"], ["freq", "--bits"],
+    ])
+    def test_empty_input_is_a_path(self, argv, stdin, keyfile, capsys):
+        stdin(self.CT)
+        if argv[-1] == "--key":
+            argv = argv + [keyfile]
+        assert run(argv[0], "", *argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
 
 class TestLineEndings:
     @pytest.mark.parametrize("fmt", ["bits", "hex"])
@@ -292,7 +306,7 @@ class TestDiagnostics:
         assert "error:" in captured.err and "m" in captured.err
 
     def test_corrupt_ciphertext(self, tmp_path, keyfile, capsys):
-        key = parse_key(open(keyfile).read())
+        key = parse_key(Path(keyfile).read_text())
         ct_text = format_ciphertext(encrypt(b"grain", key))
         flipped = ("1" if ct_text[0] == "0" else "0") + ct_text[1:]
         path = tmp_path / "bad.ct"
@@ -352,7 +366,7 @@ class TestDiagnostics:
 
     def test_freq_bits_both_input_and_text(self, tmp_path, keyfile, capsys):
         ct = tmp_path / "msg.ct"
-        ct.write_text(format_ciphertext(encrypt(b"some data", parse_key(open(keyfile).read()))))
+        ct.write_text(format_ciphertext(encrypt(b"some data", parse_key(Path(keyfile).read_text()))))
         assert run("freq", "--bits", str(ct), "--text", "0" * 16) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -368,7 +382,7 @@ class TestParserReuse:
         assert run("decrypt", str(ct), "--key", keyfile, "-o", str(out)) == 0
         assert out.read_bytes() == b"meet me at the usual place"
         assert run("crack", str(ct), "--cap-b", "7", "--cap-k", "5") == 0
-        assert parse_key(capsys.readouterr().out) == parse_key(open(keyfile).read())
+        assert parse_key(capsys.readouterr().out) == parse_key(Path(keyfile).read_text())
 
     def test_namespaces_match_a_fresh_parser(self):
         fresh = _build_parser.__wrapped__
