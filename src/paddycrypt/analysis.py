@@ -1,11 +1,13 @@
 """Cryptanalysis and diffusion measurement for the two-lane cipher.
 
-The scheme's redundancy is also its weakness: a candidate key is almost
-certainly right when both lanes decrypt to the same bytes, so lane
-agreement is a far stronger filter than any plaintext scorer.  The caesar
-lane is weaker still, because r iterated shifts collapse to the single
-effective shift (r*k) mod n; half the ciphertext therefore falls to at
-most n trials no matter how the iteration counts were chosen.
+The scheme's redundancy is also its weakness.  Both lanes encrypt the
+same plaintext, so under any key whose lanes agree, lane_a = M*lane_b + C
+(mod n) with M = m^ra.  Lane agreement therefore leaves at most one
+candidate text per effective caesar shift, up to n texts (about 34 per
+benchmark crack), and the plaintext scorer alone picks among them.  The
+caesar lane is weaker still, because r iterated shifts collapse to the
+single effective shift (r*k) mod n; half the ciphertext therefore falls to
+at most n trials no matter how the iteration counts were chosen.
 
 Attack scorers are plain callables bytes -> float (higher is better);
 printable_ratio and english_score are the built-ins.  A scorer must be
@@ -28,7 +30,6 @@ from .ciphers import (
     affine_table,
     alphabet_size,
     check_lane_codes,
-    mod_inverse,
 )
 from .errors import CipherError, NotFound
 from .pipeline import CipherText, encrypt
@@ -169,18 +170,20 @@ def brute_force(
     cap_k: int = 16,
     min_score: float | None = None,
 ) -> AttackResult:
-    """Grid-search every key with m over the units of n, b <= cap_b,
-    k <= cap_k, ra <= b, rc <= k.
+    """Best key among those whose lanes agree, over the grid of m a unit
+    of n, b <= cap_b, k <= cap_k, ra <= b and rc <= k, found in closed form
+    rather than by walking the grid.
 
-    Lane agreement is the primary filter; only agreeing candidates are
-    scored.  The filter is a join on lane text: every caesar-lane
-    candidate (k, rc) is decrypted once and indexed by the text it gives,
-    so each affine-lane candidate (m, b, ra) costs one dict lookup rather
-    than one comparison per (k, rc).  candidates_tried is still the whole
-    grid, keyspace_size(n, cap_b, cap_k).  Each distinct agreeing text is
-    scored once.  The best score wins, ties broken by the smallest
-    (m, b, k, ra, rc).  Raises NotFound when nothing passes the filter (and
-    min_score).
+    The caesar lane is p + s with s = k*rc mod n, and the affine lane is
+    M*p + B with M = m^ra and B = b*(1 + m + ... + m^(ra-1)), so a key's
+    lanes agree exactly when lane_a = M*lane_b + C with C = B - M*s.  The
+    units M that fit the lanes (usually one) fix C.  Each reachable shift s
+    then agrees through B = C + M*s, which a table of the smallest
+    (m, b, ra) per B answers, and gives one text, lane_b - s.  Each
+    agreeing text is scored once.  The best score wins, ties broken by the
+    smallest (m, b, k, ra, rc).  candidates_tried is still the whole grid,
+    keyspace_size(n, cap_b, cap_k).  Raises NotFound when no key's lanes
+    agree (above min_score).
     """
     n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
@@ -189,43 +192,54 @@ def brute_force(
     codes_a, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_a + codes_b, n)
 
-    # unshift[j] subtracts j: the caesar step for k = j and the first half
-    # of the affine step for b = j.
-    unshift = [None] + [affine_table(n, 1, -j % n) for j in range(1, max(cap_b, cap_k) + 1)]
-
-    # Caesar-lane text -> its first (k, rc) in walk order.  Keys sharing a
-    # text share its score, and (k, rc) grows along the walk, so the first
-    # is the only one that can win the tie-break.  At most n texts exist.
-    caesar_keys = {}
+    # Each shift s with its first (k, rc) in walk order: keys that share s
+    # share a text, and only the first can win the tie-break.
+    shifts = {}
     for k in range(1, cap_k + 1):
-        pb = codes_b
         for rc in range(1, k + 1):
-            pb = pb.translate(unshift[k])
-            caesar_keys.setdefault(pb, (k, rc))
+            shifts.setdefault(k * rc % n, (k, rc))
 
-    scores = {}  # agreeing plaintext -> scorer(plaintext)
-    best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
+    if codes_b:
+        fits = _lane_fits(codes_a, codes_b, n)
+    else:
+        # Every key agrees on the empty text; only the smallest can win.
+        fits, shifts = [(1, 0)], {1: (1, 1)}
+
+    # For each fitting M, B -> the smallest (m, b, ra) with m^ra = M and
+    # b*(1 + m + ... + m^(ra-1)) = B, filled in walk order (m, b, ra).
+    tables = {M: {} for M, _ in fits}
     for m in range(1, n):
         if gcd(m, n) != 1:
             continue
-        unscale = affine_table(n, mod_inverse(m, n), 0)
+        roots = []  # (ra, 1 + m + ... + m^(ra-1), table of m^ra)
+        power, total = 1, 0
+        for ra in range(1, cap_b + 1):
+            total = (total + power) % n
+            power = power * m % n
+            if power in tables:
+                roots.append((ra, total, tables[power]))
+        if not roots:
+            continue
         for b in range(1, cap_b + 1):
-            step = unshift[b].translate(unscale)
-            pa = codes_a
-            for ra in range(1, b + 1):
-                pa = pa.translate(step)
-                match = caesar_keys.get(pa)
-                if match is None:
-                    continue
-                if pa in scores:
-                    score = scores[pa]
-                else:
-                    score = scores[pa] = scorer(pa)
-                if min_score is not None and score < min_score:
-                    continue
-                order = (m, b, match[0], ra, match[1])
-                if best is None or score > best[0] or (score == best[0] and order < best[1]):
-                    best = (score, order, pa)
+            for ra, total, table in roots:
+                if ra > b:
+                    break
+                table.setdefault(b * total % n, (m, b, ra))
+
+    best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
+    for s, (k, rc) in shifts.items():
+        hits = [tables[M].get((C + M * s) % n) for M, C in fits]
+        affine = min(filter(None, hits), default=None)
+        if affine is None:
+            continue
+        text = codes_b.translate(affine_table(n, 1, -s % n))
+        score = scorer(text)
+        if min_score is not None and score < min_score:
+            continue
+        m, b, ra = affine
+        order = (m, b, k, ra, rc)
+        if best is None or score > best[0] or (score == best[0] and order < best[1]):
+            best = (score, order, text)
 
     elapsed = time.perf_counter() - start
     if best is None:
@@ -244,6 +258,31 @@ def brute_force(
         elapsed=elapsed,
         keyspace=keyspace,
     )
+
+
+def _lane_fits(codes_a: bytes, codes_b: bytes, n: int) -> list[tuple[int, int]]:
+    """Every (M, C), M a unit, with lane_a = M*lane_b + C (mod n) symbol by
+    symbol; the lanes are non-empty lane codes of alphabet n."""
+    b0, a0 = codes_b[0], codes_a[0]
+    # Every pair (b1, a1) needs M*(b1 - b0) = a1 - a0, which fixes M modulo
+    # n/gcd(b1 - b0, n); the smallest gcd leaves the fewest M to check.
+    # Lane codes are consecutive, so code differences are symbol ones.
+    b1, a1 = min(zip(codes_b, codes_a), key=lambda pair: gcd(pair[0] - b0, n))
+    d, e = (b1 - b0) % n, (a1 - a0) % n
+    g = gcd(d, n)
+    if e % g:
+        return []
+    step = n // g
+    first = e // g * pow(d // g, -1, step) % step
+    offset = LANE_CODES[n][0]
+    fits = []
+    for M in range(first, n, step):
+        if gcd(M, n) != 1:
+            continue
+        C = (a0 - offset - M * (b0 - offset)) % n
+        if codes_b.translate(affine_table(n, M, C)) == codes_a:
+            fits.append((M, C))
+    return fits
 
 
 def caesar_lane_attack(

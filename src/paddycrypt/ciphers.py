@@ -141,17 +141,17 @@ def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
     n = params.n
     if lane == LANE_AFFINE:
         rounds, bound, name = params.ra, params.b, "ra"
-        m, b = params.m, params.b
-        if decrypt:
-            m = mod_inverse(m, n)
-            b = -m * b
+        # NoInverse for a non-unit m, whichever the direction.
+        inverse = mod_inverse(params.m, n)
+        m, b = (inverse, -inverse * params.b) if decrypt else (params.m, params.b)
     elif lane == LANE_CAESAR:
         rounds, bound, name = params.rc, params.k, "rc"
         m, b = 1, -params.k if decrypt else params.k
     else:
         raise ValueError(f"unknown lane {lane!r}")
-    # Construction already enforces this; re-checked so a tampered key
-    # object still fails here instead of producing undecryptable output.
+    # Construction already enforces a unit m and these bounds; both are
+    # re-checked so a tampered key object still fails here instead of
+    # producing undecryptable output.
     if not 1 <= rounds <= bound:
         raise IterationBoundExceeded(f"{name}={rounds} outside [1, {bound}]")
     # The division is exact, as m^r = 1 (mod m - 1); reducing m^r mod

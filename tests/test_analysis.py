@@ -28,7 +28,14 @@ from paddycrypt.analysis import (
     printable_ratio,
 )
 from paddycrypt.bitmatrix import build_permutation, deinterleave
-from paddycrypt.ciphers import LANE_AFFINE, CipherParams, affine_table, lane_table
+from paddycrypt.ciphers import (
+    LANE_AFFINE,
+    CipherParams,
+    affine_table,
+    check_lane_codes,
+    lane_table,
+    mod_inverse,
+)
 from paddycrypt.errors import CipherError, IntegrityMismatch, NonLetterInput, NotFound
 from paddycrypt.pipeline import CipherText, decrypt, encrypt, keygen
 
@@ -265,6 +272,128 @@ def test_brute_force_scores_each_agreeing_text_once(mode, ct, scorer, cap_b, cap
     brute_force(ct, counting, mode=mode, cap_b=cap_b, cap_k=cap_k)
     texts = {text for _, _, text in grid_agreeing(ct, scorer, mode, cap_b, cap_k)}
     assert sorted(calls) == sorted(texts)
+
+
+def join_oracle(ciphertext, scorer=english_score, *, mode="byte", cap_b=16, cap_k=16,
+                min_score=None):
+    """Reference for brute_force that walks the grid, joining the lanes on
+    text: each caesar-lane text is indexed by its first (k, rc) in walk
+    order, and each affine candidate (m, b, ra) costs one dict lookup.
+    Fast enough for caps 255, unlike grid_oracle."""
+    n = 256 if mode == "byte" else 26
+    codes_a, codes_b = deinterleave(ciphertext.packed)
+    check_lane_codes(codes_a + codes_b, n)
+    unshift = [None] + [affine_table(n, 1, -j % n) for j in range(1, max(cap_b, cap_k) + 1)]
+    caesar_keys = {}
+    for k in range(1, cap_k + 1):
+        pb = codes_b
+        for rc in range(1, k + 1):
+            pb = pb.translate(unshift[k])
+            caesar_keys.setdefault(pb, (k, rc))
+    scores = {}
+    best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
+    for m in range(1, n):
+        if math.gcd(m, n) != 1:
+            continue
+        unscale = affine_table(n, mod_inverse(m, n), 0)
+        for b in range(1, cap_b + 1):
+            step = unshift[b].translate(unscale)
+            pa = codes_a
+            for ra in range(1, b + 1):
+                pa = pa.translate(step)
+                match = caesar_keys.get(pa)
+                if match is None:
+                    continue
+                if pa not in scores:
+                    scores[pa] = scorer(pa)
+                score = scores[pa]
+                if min_score is not None and score < min_score:
+                    continue
+                order = (m, b, match[0], ra, match[1])
+                if best is None or score > best[0] or (score == best[0] and order < best[1]):
+                    best = (score, order, pa)
+    if best is None:
+        raise NotFound(
+            f"no key with b<={cap_b}, k<={cap_k} produced agreeing lanes above the threshold"
+        )
+    keyspace = keyspace_size(n, cap_b, cap_k)
+    return AttackResult("brute-force", CipherParams(n, *best[1]), best[2], best[0],
+                        keyspace, 0.0, keyspace)
+
+
+def attack_outcome(attack, ct, scorer, mode, cap_b, cap_k, min_score=None):
+    """What brute_force and join_oracle must agree on, or the error (such as
+    NotFound) and its text."""
+    try:
+        result = attack(ct, scorer, mode=mode, cap_b=cap_b, cap_k=cap_k, min_score=min_score)
+    except CipherError as err:
+        return type(err), str(err)
+    return (result.recovered_key, result.plaintext, repr(result.score),
+            result.candidates_tried, result.keyspace)
+
+
+@ORACLE_CASES
+def test_join_oracle_matches_decrypt_oracle(mode, ct, scorer, cap_b, cap_k):
+    result = join_oracle(ct, scorer, mode=mode, cap_b=cap_b, cap_k=cap_k)
+    key, text, score = grid_oracle(ct, scorer, mode, cap_b, cap_k)
+    assert (result.recovered_key, result.plaintext, result.score) == (key, text, score)
+
+
+def join_cases(count, seed):
+    """Seeded brute_force inputs, (mode, ciphertext, cap_b, cap_k): both
+    modes, unequal caps and caps below the key's b and k, keys with m = 1
+    and m = n - 1, empty, one-symbol and constant messages, messages whose
+    lane_b differences are all even (several units M fit the lanes), and
+    ciphertexts with one bit flipped."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        mode = ("byte", "letters")[i % 2]
+        n = 256 if mode == "byte" else 26
+        codes = bytes(range(256)) if n == 256 else string.ascii_uppercase.encode()
+        length = rng.randint(2, 24) if rng.random() < 0.8 else rng.randint(0, 1)
+        shape = rng.randrange(6)
+        if shape == 0:  # constant
+            message = codes[rng.randrange(n):][:1] * length
+        elif shape == 1:  # every difference even
+            message = bytes(rng.choice(codes[::2]) for _ in range(length))
+        else:
+            message = bytes(rng.choice(codes) for _ in range(length))
+        m = rng.choice([1, n - 1, rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])])
+        b, k = rng.randint(1, 12), rng.randint(1, 12)
+        key = CipherParams(n, m, b, k, rng.randint(1, b), rng.randint(1, k))
+        ct = encrypt(message, key)
+        if ct.packed and rng.random() < 0.25:
+            packed = bytearray(ct.packed)
+            bit = rng.randrange(8 * len(packed))
+            packed[bit // 8] ^= 0x80 >> bit % 8
+            ct = CipherText.from_packed(bytes(packed))
+        cap_b = rng.randint(1, 8 if mode == "byte" else 25)
+        cap_k = rng.randint(1, 8 if mode == "byte" else 25)
+        cases.append(pytest.param(mode, ct, cap_b, cap_k, id=f"{i}-{mode}-{len(message)}-{cap_b}-{cap_k}"))
+    return cases
+
+
+@pytest.mark.parametrize("mode,ct,cap_b,cap_k", join_cases(200, seed=9))
+def test_brute_force_matches_join_oracle(mode, ct, cap_b, cap_k):
+    for scorer in (english_score, printable_ratio):
+        for min_score in (None, 0.5):
+            args = (ct, scorer, mode, cap_b, cap_k, min_score)
+            assert attack_outcome(brute_force, *args) == attack_outcome(join_oracle, *args)
+
+
+ATTACK_MESSAGE = b"meet me at the usual place at noon"
+
+
+@pytest.mark.parametrize("mode,message,key,cap", [
+    ("byte", ATTACK_MESSAGE, CipherParams(256, 147, 201, 177, 98, 153), 255),
+    ("letters", b"MEETMEATTHEUSUALPLACEATNOON", CipherParams(26, 7, 20, 19, 11, 16), 25),
+], ids=["byte-caps-255", "letters-caps-25"])
+def test_brute_force_matches_join_oracle_at_full_caps(mode, message, key, cap):
+    ct = encrypt(message, key)
+    outcome = attack_outcome(brute_force, ct, english_score, mode, cap, cap)
+    assert outcome == attack_outcome(join_oracle, ct, english_score, mode, cap, cap)
+    assert outcome[1] == message
 
 
 def test_brute_force_memory_is_bounded_by_n_times_message():

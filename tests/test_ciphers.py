@@ -22,6 +22,7 @@ from paddycrypt.ciphers import (
     mod_inverse,
 )
 from paddycrypt.errors import InvalidKey, IterationBoundExceeded, NoInverse
+from paddycrypt.pipeline import decrypt, encrypt
 
 
 def units(n):
@@ -296,6 +297,26 @@ class TestIterate:
         object.__setattr__(key, "ra", 99)
         with pytest.raises(IterationBoundExceeded):
             iterate_encrypt([0], key, LANE_AFFINE)
+
+    @pytest.mark.parametrize("n,m,ra", [(256, 16, 2), (256, 2, 1), (26, 13, 1), (26, 13, 2)])
+    def test_defensive_unit_recheck(self, n, m, ra):
+        # A tampered non-unit m fails in both directions: m^ra = 0 must not
+        # escape as a bare ValueError, and an m with m^ra != 0 must not
+        # encrypt to output that cannot be decrypted.
+        key = CipherParams(n=n, m=3, b=7, k=5, ra=1, rc=3)
+        ciphertext = encrypt(b"AB", key)
+        object.__setattr__(key, "m", m)
+        object.__setattr__(key, "ra", ra)
+        for call in (
+            lambda: lane_table(key, LANE_AFFINE),
+            lambda: lane_table(key, LANE_AFFINE, decrypt=True),
+            lambda: iterate_encrypt([0], key, LANE_AFFINE),
+            lambda: iterate_decrypt([0], key, LANE_AFFINE),
+            lambda: encrypt(b"AB", key),
+            lambda: decrypt(ciphertext, key),
+        ):
+            with pytest.raises(NoInverse, match=f"^{m} has no inverse modulo {n}"):
+                call()
 
     def test_dynamic_ciphertexts_distinct(self):
         # one (m, b) family, varying ra: all ciphertext streams differ as
