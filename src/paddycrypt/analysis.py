@@ -12,7 +12,10 @@ at most n trials no matter how the iteration counts were chosen.
 Attack scorers are plain callables bytes -> float (higher is better);
 printable_ratio and english_score are the built-ins.  A scorer must be
 pure: the same bytes always get the same score, because an attack may
-score each distinct candidate text only once.
+score each distinct candidate text only once.  The built-in english_score
+is also cut short on texts that cannot win: inside an attack it stops as
+soon as a text provably scores below the best so far (or min_score).
+Custom or wrapped scorers are scored in full.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import gcd
 from string import ascii_lowercase, ascii_uppercase
 
@@ -45,12 +49,16 @@ ENGLISH_LETTER_FREQ = {
 }
 
 
+# Every byte but printable ASCII, tab, newline and CR: deleted by
+# data.translate, it leaves the printable bytes.
+_NOT_PRINTABLE = bytes(b for b in range(256) if not (32 <= b < 127 or b in (9, 10, 13)))
+
+
 def printable_ratio(data: bytes) -> float:
     """Fraction of bytes that are printable ASCII (plus tab/newline/CR)."""
     if not data:
         return 0.0
-    ok = sum(1 for byte in data if 32 <= byte < 127 or byte in (9, 10, 13))
-    return ok / len(data)
+    return len(data.translate(None, _NOT_PRINTABLE)) / len(data)
 
 
 # Letters folded to lowercase, every other byte deleted: the argument pair
@@ -68,9 +76,17 @@ def chi_squared_english(data: bytes) -> float:
     letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
     if not letters:
         return math.inf
+    return _chi_squared(letters)
+
+
+def _chi_squared(letters: bytes, limit: float = math.inf) -> float:
+    """Chi-squared of folded letters against English, summed from a to z;
+    the partial sum is returned as soon as it reaches limit."""
     total = len(letters)
     chi2 = 0.0
     for code, freq in _LETTER_FREQ_BY_CODE:
+        if chi2 >= limit:
+            break
         expected = total * freq
         diff = letters.count(code) - expected
         chi2 += diff * diff / expected
@@ -84,14 +100,36 @@ def english_score(data: bytes) -> float:
     so a case-shifted copy that turns spaces into junk scores below the
     true plaintext.
     """
+    return _english_score(data, None)
+
+
+def _english_score(data: bytes, floor: float | None) -> float:
+    """english_score(data) when that is at least floor (always when floor
+    is None); otherwise some value below floor.
+
+    The score is top / (len + chi2), top = coverage * len, and chi2 >= 0
+    is a sum of terms >= 0.  Float rounding is monotone, so top / (len +
+    any partial sum) is an upper bound on the score: once one is below
+    floor, it is returned in place of the rest of the sum.
+    """
     if not data:
         return 0.0
-    letterish = len(data.translate(None, _NON_LETTERS)) + data.count(32)
-    coverage = letterish / len(data)
-    chi2 = chi_squared_english(data)
-    if math.isinf(chi2):
+    size = len(data)
+    letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
+    if not letters:
         return 0.0
-    return coverage * len(data) / (len(data) + chi2)
+    top = (len(letters) + data.count(32)) / size * size
+    # Partial sums reach top / floor - size about where the bound falls
+    # below floor; a sum cut short there is checked exactly, and finished
+    # after all in the rare case that rounding leaves it at floor or above.
+    limit = top / floor - size if floor is not None and floor > 0 else math.inf
+    chi2 = _chi_squared(letters, limit)
+    if chi2 >= limit:
+        bound = top / (size + chi2)
+        if bound < floor:
+            return bound
+        chi2 = _chi_squared(letters)
+    return top / (size + chi2)
 
 
 def frequency_profile(data, n: int = 256) -> list[float]:
@@ -180,10 +218,10 @@ def brute_force(
     units M that fit the lanes (usually one) fix C.  Each reachable shift s
     then agrees through B = C + M*s, which a table of the smallest
     (m, b, ra) per B answers, and gives one text, lane_b - s.  Each
-    agreeing text is scored once.  The best score wins, ties broken by the
-    smallest (m, b, k, ra, rc).  candidates_tried is still the whole grid,
-    keyspace_size(n, cap_b, cap_k).  Raises NotFound when no key's lanes
-    agree (above min_score).
+    agreeing text is scored at most once.  The best score wins, ties
+    broken by the smallest (m, b, k, ra, rc).  candidates_tried is still
+    the whole grid, keyspace_size(n, cap_b, cap_k).  Raises NotFound when
+    no key's lanes agree (above min_score).
     """
     n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
@@ -226,20 +264,17 @@ def brute_force(
                     break
                 table.setdefault(b * total % n, (m, b, ra))
 
-    best = None  # (score, (m, b, k, ra, rc), plaintext bytes)
+    agreeing = []  # (shift, (m, b, k, ra, rc))
     for s, (k, rc) in shifts.items():
         hits = [tables[M].get((C + M * s) % n) for M, C in fits]
         affine = min(filter(None, hits), default=None)
-        if affine is None:
-            continue
-        text = codes_b.translate(affine_table(n, 1, -s % n))
-        score = scorer(text)
-        if min_score is not None and score < min_score:
-            continue
-        m, b, ra = affine
-        order = (m, b, k, ra, rc)
-        if best is None or score > best[0] or (score == best[0] and order < best[1]):
-            best = (score, order, text)
+        if affine is not None:
+            m, b, ra = affine
+            agreeing.append((s, (m, b, k, ra, rc)))
+    best = _best_text(
+        ((order, codes_b.translate(affine_table(n, 1, -s % n))) for s, order in agreeing),
+        scorer, min_score,
+    )
 
     elapsed = time.perf_counter() - start
     if best is None:
@@ -258,6 +293,28 @@ def brute_force(
         elapsed=elapsed,
         keyspace=keyspace,
     )
+
+
+def _best_text(candidates, scorer, min_score, builtin=english_score):
+    """The best (score, order, text) among (order, text) candidates scoring
+    at least min_score, ties going to the smallest order; None if none does.
+
+    The built-in scorer (bound here at definition, so a wrapper rebound to
+    the module name is not it) is cut short on texts that cannot win: it
+    gets the score to reach, the best so far or min_score, as its floor.
+    Any other scorer scores every text in full.
+    """
+    best = None
+    for order, text in candidates:
+        if scorer is builtin:
+            score = _english_score(text, min_score if best is None else best[0])
+        else:
+            score = scorer(text)
+        if min_score is not None and score < min_score:
+            continue
+        if best is None or score > best[0] or (score == best[0] and order < best[1]):
+            best = (score, order, text)
+    return best
 
 
 def _lane_fits(codes_a: bytes, codes_b: bytes, n: int) -> list[tuple[int, int]]:
@@ -303,18 +360,12 @@ def caesar_lane_attack(
 
     _, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_b, n)
-    step = affine_table(n, 1, n - 1)
-
-    best = None  # (score, shift, plaintext bytes)
-    text = codes_b
-    for shift in range(n):
-        score = scorer(text)
-        if best is None or score > best[0]:
-            best = (score, shift, text)
-        text = text.translate(step)
+    # lane_b - shift for shift 0, 1, ..., n - 1, one step down at a time.
+    texts = accumulate(repeat(affine_table(n, 1, n - 1), n - 1), bytes.translate, initial=codes_b)
+    best = _best_text(enumerate(texts), scorer, min_score)
 
     elapsed = time.perf_counter() - start
-    if min_score is not None and best[0] < min_score:
+    if best is None:
         raise NotFound(f"no shift scored above {min_score}")
     score, shift, text = best
     return AttackResult(

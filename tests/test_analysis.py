@@ -16,6 +16,7 @@ from paddycrypt.analysis import (
     attack_csv,
     avalanche,
     avalanche_csv,
+    _english_score,
     brute_force,
     caesar_lane_attack,
     chi_squared_english,
@@ -93,16 +94,39 @@ def reference_english_score(data):
     return coverage * len(data) / (len(data) + chi2)
 
 
+def reference_printable_ratio(data):
+    """printable_ratio as first written, byte by byte."""
+    if not data:
+        return 0.0
+    ok = sum(1 for byte in data if 32 <= byte < 127 or byte in (9, 10, 13))
+    return ok / len(data)
+
+
 english_like = st.text(
     alphabet=string.ascii_letters + " .,'\n", max_size=200
 ).map(str.encode)
+scorer_inputs = st.one_of(st.binary(max_size=200), english_like)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(st.binary(max_size=200), english_like))
+@given(scorer_inputs)
 def test_scorers_match_reference_bit_for_bit(data):
     assert chi_squared_english(data) == reference_chi_squared_english(data)
     assert english_score(data) == reference_english_score(data)
+    assert printable_ratio(data) == reference_printable_ratio(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scorer_inputs, st.one_of(st.floats(0, 1), scorer_inputs.map(english_score)))
+def test_floored_english_score_is_exact_at_or_above_the_floor(data, floor):
+    exact = reference_english_score(data)
+    # The drawn floor, and floors at the score itself and one ulp either side.
+    for f in (floor, exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf)):
+        score = _english_score(data, f)
+        if exact >= f:
+            assert repr(score) == repr(exact)
+        else:
+            assert score < f
 
 
 class TestFrequencyProfile:
@@ -409,6 +433,54 @@ def test_brute_force_memory_is_bounded_by_n_times_message():
         tracemalloc.stop()
     assert result.plaintext == message
     assert peak < 2 * 256 * 4096
+
+
+def lane_oracle(ciphertext, scorer=english_score, *, mode="byte", min_score=None):
+    """Reference for caesar_lane_attack: every shift of lane_b scored in
+    full, the first maximum kept."""
+    n = 256 if mode == "byte" else 26
+    _, codes_b = deinterleave(ciphertext.packed)
+    check_lane_codes(codes_b, n)
+    best = None  # (score, shift, plaintext bytes)
+    for shift in range(n):
+        text = codes_b.translate(affine_table(n, 1, -shift % n))
+        score = scorer(text)
+        if best is None or score > best[0]:
+            best = (score, shift, text)
+    if min_score is not None and best[0] < min_score:
+        raise NotFound(f"no shift scored above {min_score}")
+    return AttackResult("caesar-lane-shortcut", None, best[2], best[0], n, 0.0,
+                        effective_shift=best[1])
+
+
+def lane_outcome(attack, ct, mode, min_score):
+    """What caesar_lane_attack and lane_oracle must agree on, or the error
+    (such as NotFound) and its text."""
+    try:
+        result = attack(ct, english_score, mode=mode, min_score=min_score)
+    except CipherError as err:
+        return type(err), str(err)
+    return (result.recovered_key, result.plaintext, repr(result.score),
+            result.candidates_tried, result.effective_shift)
+
+
+@pytest.mark.parametrize("mode,ct,cap_b,cap_k", join_cases(200, seed=9))
+def test_caesar_lane_attack_matches_lane_oracle(mode, ct, cap_b, cap_k):
+    for min_score in (None, 0.5, 0.9):
+        outcome = lane_outcome(caesar_lane_attack, ct, mode, min_score)
+        assert outcome == lane_outcome(lane_oracle, ct, mode, min_score)
+
+
+def test_caesar_lane_attack_scores_every_shift_with_a_wrapped_scorer():
+    ct = encrypt(ENGLISH, CipherParams(n=256, m=9, b=13, k=5, ra=1, rc=1))
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return english_score(text)
+
+    caesar_lane_attack(ct, counting)
+    assert len(set(calls)) == len(calls) == 256
 
 
 class TestCaesarLaneAttack:
