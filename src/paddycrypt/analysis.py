@@ -12,19 +12,24 @@ at most n trials no matter how the iteration counts were chosen.
 Attack scorers are plain callables bytes -> float (higher is better);
 printable_ratio and english_score are the built-ins.  A scorer must be
 pure: the same bytes always get the same score, because an attack may
-score each distinct candidate text only once.  The built-in english_score
-is also cut short on texts that cannot win: inside an attack it stops as
-soon as a text provably scores below the best so far (or min_score).
-Custom or wrapped scorers are scored in full.
+score each distinct candidate text only once.  Every candidate text is
+lane_b shifted back, so with the built-in english_score both attacks
+score from counts: one histogram of lane_b, read at each shift's offset,
+gives every candidate's letter and space counts.  Candidates whose
+coverage bound cannot beat the best so far (or min_score) are not scored,
+and only the winner's text is built.  Custom or wrapped scorers get every
+candidate text and score it in full.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from math import gcd
+from itertools import accumulate, groupby, product
+from math import gcd, prod
+from operator import add, sub
 from string import ascii_lowercase, ascii_uppercase
 
 from .bitmatrix import deinterleave
@@ -35,7 +40,7 @@ from .ciphers import (
     alphabet_size,
     check_lane_codes,
 )
-from .errors import CipherError, NotFound
+from .errors import CipherError, InvalidArgument, NotFound
 from .pipeline import CipherText, encrypt
 
 # Relative letter frequencies in running English text (A..Z).
@@ -65,7 +70,8 @@ def printable_ratio(data: bytes) -> float:
 # of data.translate that leaves only the letters.
 _FOLD_TO_LOWER = bytes.maketrans(ascii_uppercase.encode(), ascii_lowercase.encode())
 _NON_LETTERS = bytes(range(256)).translate(None, (ascii_uppercase + ascii_lowercase).encode())
-_LETTER_FREQ_BY_CODE = [(ord(ch), freq) for ch, freq in ENGLISH_LETTER_FREQ.items()]
+_LETTER_CODES = [ord(ch) for ch in ENGLISH_LETTER_FREQ]
+_LETTER_FREQS = list(ENGLISH_LETTER_FREQ.values())
 
 
 def chi_squared_english(data: bytes) -> float:
@@ -76,19 +82,19 @@ def chi_squared_english(data: bytes) -> float:
     letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
     if not letters:
         return math.inf
-    return _chi_squared(letters)
+    return _chi_squared([letters.count(code) for code in _LETTER_CODES], len(letters))
 
 
-def _chi_squared(letters: bytes, limit: float = math.inf) -> float:
-    """Chi-squared of folded letters against English, summed from a to z;
-    the partial sum is returned as soon as it reaches limit."""
-    total = len(letters)
+def _chi_squared(counts, total: int, limit: float = math.inf) -> float:
+    """Chi-squared of the a..z letter counts, total letters in all, against
+    English, summed from a to z; the partial sum is returned as soon as it
+    reaches limit."""
     chi2 = 0.0
-    for code, freq in _LETTER_FREQ_BY_CODE:
+    for count, freq in zip(counts, _LETTER_FREQS):
         if chi2 >= limit:
             break
         expected = total * freq
-        diff = letters.count(code) - expected
+        diff = count - expected
         chi2 += diff * diff / expected
     return chi2
 
@@ -105,30 +111,38 @@ def english_score(data: bytes) -> float:
 
 def _english_score(data: bytes, floor: float | None) -> float:
     """english_score(data) when that is at least floor (always when floor
-    is None); otherwise some value below floor.
+    is None); otherwise some value below floor."""
+    if not data:
+        return 0.0
+    letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
+    counts = [letters.count(code) for code in _LETTER_CODES]
+    return _score_counts(len(data), len(letters) + data.count(32), counts, floor)
 
-    The score is top / (len + chi2), top = coverage * len, and chi2 >= 0
-    is a sum of terms >= 0.  Float rounding is monotone, so top / (len +
+
+def _score_counts(size: int, letterish: int, counts, floor: float | None) -> float:
+    """_english_score of a non-empty text from its counts: size bytes,
+    letterish of them letters or spaces, and counts its a..z letter counts,
+    case folded.
+
+    The score is top / (size + chi2), top = coverage * size, and chi2 >= 0
+    is a sum of terms >= 0.  Float rounding is monotone, so top / (size +
     any partial sum) is an upper bound on the score: once one is below
     floor, it is returned in place of the rest of the sum.
     """
-    if not data:
+    total = sum(counts)
+    if not total:
         return 0.0
-    size = len(data)
-    letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
-    if not letters:
-        return 0.0
-    top = (len(letters) + data.count(32)) / size * size
+    top = letterish / size * size
     # Partial sums reach top / floor - size about where the bound falls
     # below floor; a sum cut short there is checked exactly, and finished
     # after all in the rare case that rounding leaves it at floor or above.
     limit = top / floor - size if floor is not None and floor > 0 else math.inf
-    chi2 = _chi_squared(letters, limit)
+    chi2 = _chi_squared(counts, total, limit)
     if chi2 >= limit:
         bound = top / (size + chi2)
         if bound < floor:
             return bound
-        chi2 = _chi_squared(letters)
+        chi2 = _chi_squared(counts, total)
     return top / (size + chi2)
 
 
@@ -181,10 +195,29 @@ class DiffusionReport:
     ciphertext_hamming_fraction: float
 
 
+# The unit group of each alphabet size as a product of cyclic groups,
+# (generator, order): {1, 255} x <5> mod 256, and <7> mod 26.
+_UNIT_GENERATORS = {256: ((255, 2), (5, 64)), 26: ((7, 12),)}
+
+
+def _unit_group(n: int):
+    """Each generator's powers x = 0, 1, ..., order - 1, and each unit's
+    exponents (its discrete logs) over the generators."""
+    powers = [[pow(g, x, n) for x in range(order)] for g, order in _UNIT_GENERATORS[n]]
+    logs = {
+        prod(p[x] for p, x in zip(powers, xs)) % n: xs
+        for xs in product(*(range(len(p)) for p in powers))
+    }
+    return powers, logs
+
+
+_UNIT_GROUPS = {n: _unit_group(n) for n in _UNIT_GENERATORS}
+
+
 def keyspace_size(n: int, cap_b: int, cap_k: int) -> int:
     """Number of grid keys: units(n) * sum(b<=B) b * sum(k<=K) k."""
-    units = sum(1 for m in range(1, n) if gcd(m, n) == 1)
-    return units * (cap_b * (cap_b + 1) // 2) * (cap_k * (cap_k + 1) // 2)
+    _, logs = _UNIT_GROUPS[n]
+    return len(logs) * (cap_b * (cap_b + 1) // 2) * (cap_k * (cap_k + 1) // 2)
 
 
 def is_degenerate_key(key: CipherParams) -> bool:
@@ -194,9 +227,9 @@ def is_degenerate_key(key: CipherParams) -> bool:
 
 def _check_caps(n: int, cap_b: int, cap_k: int) -> None:
     if not 1 <= cap_b < n:
-        raise ValueError(f"cap_b must be in [1, {n}), got {cap_b}")
+        raise InvalidArgument(f"cap_b must be in [1, {n}), got {cap_b}")
     if not 1 <= cap_k < n:
-        raise ValueError(f"cap_k must be in [1, {n}), got {cap_k}")
+        raise InvalidArgument(f"cap_k must be in [1, {n}), got {cap_k}")
 
 
 def brute_force(
@@ -215,13 +248,17 @@ def brute_force(
     The caesar lane is p + s with s = k*rc mod n, and the affine lane is
     M*p + B with M = m^ra and B = b*(1 + m + ... + m^(ra-1)), so a key's
     lanes agree exactly when lane_a = M*lane_b + C with C = B - M*s.  The
-    units M that fit the lanes (usually one) fix C.  Each reachable shift s
-    then agrees through B = C + M*s, which a table of the smallest
-    (m, b, ra) per B answers, and gives one text, lane_b - s.  Each
-    agreeing text is scored at most once.  The best score wins, ties
-    broken by the smallest (m, b, k, ra, rc).  candidates_tried is still
-    the whole grid, keyspace_size(n, cap_b, cap_k).  Raises NotFound when
-    no key's lanes agree (above min_score).
+    units M that fit the lanes (usually one) fix C.  The roots (m, ra) of
+    m^ra = M come from the unit group's discrete logs, not from a walk
+    over every unit's powers.  Each reachable shift s then agrees through
+    B = C + M*s, which a table of the smallest (m, b, ra) per B answers,
+    and gives one text, lane_b - s.  The agreeing shifts are scored as in
+    caesar_lane_attack: with english_score, from one histogram of lane_b,
+    so only texts that can win are scored and only the winner's is built;
+    any other scorer gets each agreeing text once.  The best score wins,
+    ties broken by the smallest (m, b, k, ra, rc).  candidates_tried is
+    still the whole grid, keyspace_size(n, cap_b, cap_k).  Raises NotFound
+    when no key's lanes agree (above min_score).
     """
     n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
@@ -236,6 +273,8 @@ def brute_force(
     for k in range(1, cap_k + 1):
         for rc in range(1, k + 1):
             shifts.setdefault(k * rc % n, (k, rc))
+        if len(shifts) == n:
+            break
 
     if codes_b:
         fits = _lane_fits(codes_a, codes_b, n)
@@ -245,36 +284,31 @@ def brute_force(
 
     # For each fitting M, B -> the smallest (m, b, ra) with m^ra = M and
     # b*(1 + m + ... + m^(ra-1)) = B, filled in walk order (m, b, ra).
-    tables = {M: {} for M, _ in fits}
-    for m in range(1, n):
-        if gcd(m, n) != 1:
-            continue
-        roots = []  # (ra, 1 + m + ... + m^(ra-1), table of m^ra)
-        power, total = 1, 0
-        for ra in range(1, cap_b + 1):
-            total = (total + power) % n
-            power = power * m % n
-            if power in tables:
-                roots.append((ra, total, tables[power]))
-        if not roots:
-            continue
-        for b in range(1, cap_b + 1):
-            for ra, total, table in roots:
-                if ra > b:
-                    break
-                table.setdefault(b * total % n, (m, b, ra))
+    tables = {}
+    for M, _ in fits:
+        table = tables[M] = {}
+        for m, roots in groupby(_roots(M, n, cap_b), key=lambda root: root[0]):
+            # (ra, 1 + m + ... + m^(ra-1)), the division exact as in
+            # ciphers.lane_table.
+            totals = [
+                (ra, ra if m == 1 else (pow(m, ra, (m - 1) * n) - 1) // (m - 1))
+                for _, ra in roots
+            ]
+            for b in range(1, cap_b + 1):
+                for ra, total in totals:
+                    if ra > b:
+                        break
+                    table.setdefault(b * total % n, (m, b, ra))
+            if len(table) == n:
+                break
 
-    agreeing = []  # (shift, (m, b, k, ra, rc))
+    agreeing = []  # ((m, b, k, ra, rc), shift)
     for s, (k, rc) in shifts.items():
-        hits = [tables[M].get((C + M * s) % n) for M, C in fits]
-        affine = min(filter(None, hits), default=None)
-        if affine is not None:
-            m, b, ra = affine
-            agreeing.append((s, (m, b, k, ra, rc)))
-    best = _best_text(
-        ((order, codes_b.translate(affine_table(n, 1, -s % n))) for s, order in agreeing),
-        scorer, min_score,
-    )
+        hits = [hit for M, C in fits if (hit := tables[M].get((C + M * s) % n))]
+        if hits:
+            m, b, ra = min(hits)
+            agreeing.append(((m, b, k, ra, rc), s))
+    best = _best_shift(codes_b, n, agreeing, scorer, min_score)
 
     elapsed = time.perf_counter() - start
     if best is None:
@@ -295,26 +329,86 @@ def brute_force(
     )
 
 
-def _best_text(candidates, scorer, min_score, builtin=english_score):
-    """The best (score, order, text) among (order, text) candidates scoring
-    at least min_score, ties going to the smallest order; None if none does.
+def _roots(M: int, n: int, cap_b: int) -> list[tuple[int, int]]:
+    """Every (m, ra) with ra <= cap_b and m^ra = M (mod n), M a unit, in
+    (m, ra) order.
+
+    Over the unit group's cyclic factors, m and M are exponent vectors x
+    and y, and m^ra = M is x*ra = y modulo each factor's order.  That has
+    g = gcd(ra, order) solutions, order/g apart, when g divides y, and
+    none otherwise.
+    """
+    powers, logs = _UNIT_GROUPS[n]
+    roots = []
+    for ra in range(1, cap_b + 1):
+        choices = []  # per factor, the generator powers that solve it
+        for p, y in zip(powers, logs[M]):
+            g = gcd(ra, len(p))
+            if y % g:
+                break
+            step = len(p) // g
+            choices.append(p[y // g * pow(ra // g, -1, step) % step::step])
+        else:
+            roots.extend((prod(units) % n, ra) for units in product(*choices))
+    roots.sort()
+    return roots
+
+
+# Per alphabet size, the symbols coded as letters, a run of 26 in letter
+# order from each start (A-Z, then a-z), and the symbol coded as a space.
+_LETTER_RUNS = {256: (65, 97), 26: (0,)}
+_SPACES = {256: (32,), 26: ()}
+
+
+def _best_shift(codes_b: bytes, n: int, candidates, scorer, min_score, builtin=english_score):
+    """The best (score, order, text) among (order, shift) candidates, text
+    being lane_b - shift, that score at least min_score, ties going to the
+    smallest order; None if none does.
 
     The built-in scorer (bound here at definition, so a wrapper rebound to
-    the module name is not it) is cut short on texts that cannot win: it
-    gets the score to reach, the best so far or min_score, as its floor.
-    Any other scorer scores every text in full.
+    the module name is not it) scores from counts.  Lane_b is counted once,
+    and shift s's count of text symbol v is that histogram at v + s, so a
+    shift's letter and space counts are window sums of the doubled
+    histogram.  They give its coverage bound top / size on its score.
+    Shifts are visited by descending bound until the bound falls below the
+    score to reach (the best so far, or min_score), and scored from their
+    counts with that score as the floor, as in _english_score.  Only the
+    winner's text is built.  Any other scorer, or an empty lane, gets every
+    candidate text in candidate order.
     """
-    best = None
-    for order, text in candidates:
-        if scorer is builtin:
-            score = _english_score(text, min_score if best is None else best[0])
+    from_counts = scorer is builtin and bool(codes_b)
+    if from_counts:
+        size = len(codes_b)
+        counted = Counter(codes_b)
+        doubled = list(map(counted.get, LANE_CODES[n], [0] * n)) * 2
+        # folded[s + i]: shift s's count of letter i, either case.
+        first, *others = _LETTER_RUNS[n]
+        folded = doubled[first:first + n + 25]
+        for run in others:
+            folded = list(map(add, folded, doubled[run:]))
+        # letterish[s]: shift s's letters (window sums of folded) and spaces.
+        prefix = list(accumulate(folded, initial=0))
+        letterish = list(map(sub, prefix[26:], prefix[:n]))
+        for space in _SPACES[n]:
+            letterish = list(map(add, letterish, doubled[space:]))
+        candidates = sorted(candidates, key=lambda c: letterish[c[1]], reverse=True)
+    best = None  # (score, order, shift)
+    for order, s in candidates:
+        if from_counts:
+            floor = min_score if best is None else best[0]
+            if floor is not None and letterish[s] / size * size / size < floor:
+                break
+            score = _score_counts(size, letterish[s], folded[s:s + 26], floor)
         else:
-            score = scorer(text)
+            score = scorer(codes_b.translate(affine_table(n, 1, -s % n)))
         if min_score is not None and score < min_score:
             continue
         if best is None or score > best[0] or (score == best[0] and order < best[1]):
-            best = (score, order, text)
-    return best
+            best = (score, order, s)
+    if best is None:
+        return None
+    score, order, s = best
+    return score, order, codes_b.translate(affine_table(n, 1, -s % n))
 
 
 def _lane_fits(codes_a: bytes, codes_b: bytes, n: int) -> list[tuple[int, int]]:
@@ -352,17 +446,19 @@ def caesar_lane_attack(
     """Recover the plaintext from the caesar lane alone.
 
     The lane's iterated shift is a single effective shift, so at most n
-    candidates exist regardless of the key's iteration count.  No full key
-    is recovered; the result carries the winning shift and plaintext.
+    candidates exist regardless of the key's iteration count, the texts
+    lane_b - s.  With english_score they are scored from one histogram of
+    lane_b: only shifts whose coverage bound can beat the best so far are
+    scored, from counts, and only the winner's text is built.  Any other
+    scorer gets all n texts.  Ties go to the smallest shift.  No full key is
+    recovered; the result carries the winning shift and plaintext.
     """
     n = alphabet_size(mode)
     start = time.perf_counter()
 
     _, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_b, n)
-    # lane_b - shift for shift 0, 1, ..., n - 1, one step down at a time.
-    texts = accumulate(repeat(affine_table(n, 1, n - 1), n - 1), bytes.translate, initial=codes_b)
-    best = _best_text(enumerate(texts), scorer, min_score)
+    best = _best_shift(codes_b, n, [(s, s) for s in range(n)], scorer, min_score)
 
     elapsed = time.perf_counter() - start
     if best is None:

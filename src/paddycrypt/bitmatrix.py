@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadLength, LengthMismatch, ParseError
+from .errors import BadLength, InvalidArgument, LengthMismatch, ParseError
 
 COLS = 8
 
@@ -59,9 +59,10 @@ _TRANSPOSE_SWAPS = (
 
 
 def symbol_to_bits(s: int) -> list[int]:
-    """8 bits of s, most significant first."""
-    if not 0 <= s < 256:
-        raise ValueError(f"symbol {s} outside [0, 256)")
+    """8 bits of s, most significant first.  Raises InvalidArgument unless
+    s is an int in [0, 256)."""
+    if not (isinstance(s, int) and 0 <= s < 256):
+        raise InvalidArgument(f"symbol {s!r} outside [0, 256)")
     return [(s >> (7 - i)) & 1 for i in range(8)]
 
 
@@ -195,10 +196,10 @@ def build_permutation(n_symbols: int) -> PermutationMap:
 
     Built by pushing the lane-pair indices themselves through
     place/harvest, so apply() agrees with the matrix route by
-    construction for any cell content.
+    construction for any cell content.  Raises InvalidArgument for N < 0.
     """
     if n_symbols < 0:
-        raise ValueError(f"symbol count must be >= 0, got {n_symbols}")
+        raise InvalidArgument(f"symbol count must be >= 0, got {n_symbols}")
     half = COLS * n_symbols
     ids = list(range(2 * half))
     inverse = harvest(place(ids[:half], ids[half:]))

@@ -5,6 +5,13 @@ class CipherError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
+class InvalidArgument(CipherError, ValueError):
+    """A function argument is out of range or of the wrong type.
+
+    Also a ValueError, the type such arguments raised before.
+    """
+
+
 class NoInverse(CipherError):
     """The affine multiplier has no inverse modulo the alphabet size."""
 
