@@ -267,8 +267,9 @@ def brute_force(
     codes_a, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_a + codes_b, n)
 
-    # Each shift s with its first (k, rc) in walk order: keys that share s
-    # share a text, and only the first can win the tie-break.
+    # Each shift s with its first (k, rc) in walk order, until every shift
+    # has one: keys that share s share a text, and only the first can win
+    # the tie-break.
     shifts = {}
     for k in range(1, cap_k + 1):
         for rc in range(1, k + 1):
@@ -283,7 +284,8 @@ def brute_force(
         fits, shifts = [(1, 0)], {1: (1, 1)}
 
     # For each fitting M, B -> the smallest (m, b, ra) with m^ra = M and
-    # b*(1 + m + ... + m^(ra-1)) = B, filled in walk order (m, b, ra).
+    # b*(1 + m + ... + m^(ra-1)) = B, filled in walk order (m, b, ra) until
+    # every B has one.
     tables = {}
     for M, _ in fits:
         table = tables[M] = {}

@@ -17,6 +17,7 @@ from paddycrypt.analysis import (
     avalanche,
     avalanche_csv,
     _english_score,
+    _roots,
     brute_force,
     caesar_lane_attack,
     chi_squared_english,
@@ -31,6 +32,7 @@ from paddycrypt.analysis import (
 from paddycrypt.bitmatrix import build_permutation, deinterleave
 from paddycrypt.ciphers import (
     LANE_AFFINE,
+    LANE_CODES,
     CipherParams,
     affine_table,
     check_lane_codes,
@@ -435,6 +437,82 @@ def test_brute_force_memory_is_bounded_by_n_times_message():
     assert peak < 2 * 256 * 4096
 
 
+def walk_roots(n, cap_b):
+    """Reference for _roots: M -> every (m, ra) with ra <= cap_b and
+    m^ra = M, found by walking each unit's powers, in (m, ra) order."""
+    roots = {}
+    for m in range(1, n):
+        if math.gcd(m, n) != 1:
+            continue
+        power = 1
+        for ra in range(1, cap_b + 1):
+            power = power * m % n
+            roots.setdefault(power, []).append((m, ra))
+    return roots
+
+
+@pytest.mark.parametrize("n,caps", [
+    (256, (1, 2, 3, 5, 16, 63, 64, 65, 255)),
+    (26, range(1, 26)),
+], ids=["byte", "letters"])
+def test_roots_match_the_walk(n, caps):
+    units = [m for m in range(1, n) if math.gcd(m, n) == 1]
+    for cap_b in caps:
+        walked = walk_roots(n, cap_b)
+        for M in units:
+            assert _roots(M, n, cap_b) == walked.get(M, []), (M, cap_b)
+
+
+def attack_results(ct, scorer, mode, cap_b, cap_k, min_score):
+    """Both attacks' results, each as everything it reports but the time,
+    or the error (such as NotFound) and its text."""
+    outcomes = []
+    for attack, kwargs in ((brute_force, {"cap_b": cap_b, "cap_k": cap_k}), (caesar_lane_attack, {})):
+        try:
+            result = attack(ct, scorer, mode=mode, min_score=min_score, **kwargs)
+        except CipherError as err:
+            outcomes.append((type(err), str(err)))
+            continue
+        outcomes.append((result.recovered_key, result.plaintext, repr(result.score),
+                         result.candidates_tried, result.keyspace, result.effective_shift))
+    return outcomes
+
+
+@st.composite
+def attack_inputs(draw):
+    """(mode, ciphertext, cap_b, cap_k, min_score): random, English-like,
+    constant and empty messages.  Lowercase words without spaces and
+    constant bytes have tied shifts in byte mode (a..z and A..Z count
+    alike)."""
+    mode = draw(st.sampled_from(["byte", "letters"]))
+    n = 256 if mode == "byte" else 26
+    codes = list(LANE_CODES[n])
+    words = st.text(alphabet=string.ascii_lowercase + " ", max_size=40)
+    if mode == "letters":
+        words = words.map(lambda text: text.replace(" ", "").upper())
+    message = draw(st.one_of(
+        st.lists(st.sampled_from(codes), max_size=40).map(bytes),
+        words.map(str.encode),
+        words.map(lambda text: text.replace(" ", "").encode()),
+        st.builds(lambda code, length: bytes([code]) * length, st.sampled_from(codes), st.integers(0, 40)),
+    ))
+    m = draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]))
+    b, k = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    key = CipherParams(n, m, b, k, draw(st.integers(1, b)), draw(st.integers(1, k)))
+    cap = 8 if mode == "byte" else 25
+    caps = draw(st.tuples(st.integers(1, cap), st.integers(1, cap)))
+    min_score = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.9]), st.floats(0, 1)))
+    return (mode, encrypt(message, key), *caps, min_score)
+
+
+@settings(max_examples=300, deadline=None)
+@given(attack_inputs())
+def test_attacks_score_from_counts_as_a_wrapped_scorer_scores_texts(inputs):
+    mode, ct, cap_b, cap_k, min_score = inputs
+    wrapped = attack_results(ct, lambda data: english_score(data), mode, cap_b, cap_k, min_score)
+    assert attack_results(ct, english_score, mode, cap_b, cap_k, min_score) == wrapped
+
+
 def lane_oracle(ciphertext, scorer=english_score, *, mode="byte", min_score=None):
     """Reference for caesar_lane_attack: every shift of lane_b scored in
     full, the first maximum kept."""
@@ -638,6 +716,14 @@ def test_degenerate_key_iff_affine_lane_is_a_shift():
             for ra in range(1, b + 1):
                 key = CipherParams(n=26, m=m, b=b, k=1, ra=ra, rc=1)
                 assert is_degenerate_key(key) == (lane_table(key, LANE_AFFINE) in shifts), key
+
+
+@pytest.mark.parametrize("n", [256, 26])
+def test_keyspace_size_counts_the_units(n):
+    units = sum(1 for m in range(1, n) if math.gcd(m, n) == 1)
+    for cap_b, cap_k in ((1, 1), (2, 5), (16, 16), (n - 1, 3), (n - 1, n - 1)):
+        grid = units * (cap_b * (cap_b + 1) // 2) * (cap_k * (cap_k + 1) // 2)
+        assert keyspace_size(n, cap_b, cap_k) == grid
 
 
 def test_keyspace_monotone_in_caps():

@@ -4,11 +4,14 @@ the library and as exit code 1 from the CLI, never as a traceback."""
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from paddycrypt.analysis import _check_caps, brute_force
+from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
 from paddycrypt.cli import main
-from paddycrypt.errors import CipherError
+from paddycrypt.errors import CipherError, InvalidArgument
 from paddycrypt.pipeline import (
     KEY_FIELDS,
     CipherParams,
@@ -24,6 +27,21 @@ KEYS = (
     CipherParams(n=256, m=3, b=7, k=5, ra=2, rc=4),
     CipherParams(n=26, m=5, b=4, k=3, ra=2, rc=1),
 )
+
+
+@pytest.mark.parametrize("call", [
+    lambda: symbol_to_bits(256),
+    lambda: symbols_to_bits(["a"]),
+    lambda: build_permutation(-1),
+    lambda: _check_caps(26, 1, 26),
+    lambda: brute_force(encrypt(b"x", KEYS[0]), cap_b=0),
+], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "_check_caps", "brute_force"])
+def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call):
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert isinstance(err.value, CipherError)
+    assert isinstance(err.value, ValueError)
+
 
 # Key-file-like text: name=value lines mixed with arbitrary ones.
 key_texts = st.one_of(
