@@ -463,56 +463,6 @@ def test_roots_match_the_walk(n, caps):
             assert _roots(M, n, cap_b) == walked.get(M, []), (M, cap_b)
 
 
-def attack_results(ct, scorer, mode, cap_b, cap_k, min_score):
-    """Both attacks' results, each as everything it reports but the time,
-    or the error (such as NotFound) and its text."""
-    outcomes = []
-    for attack, kwargs in ((brute_force, {"cap_b": cap_b, "cap_k": cap_k}), (caesar_lane_attack, {})):
-        try:
-            result = attack(ct, scorer, mode=mode, min_score=min_score, **kwargs)
-        except CipherError as err:
-            outcomes.append((type(err), str(err)))
-            continue
-        outcomes.append((result.recovered_key, result.plaintext, repr(result.score),
-                         result.candidates_tried, result.keyspace, result.effective_shift))
-    return outcomes
-
-
-@st.composite
-def attack_inputs(draw):
-    """(mode, ciphertext, cap_b, cap_k, min_score): random, English-like,
-    constant and empty messages.  Lowercase words without spaces and
-    constant bytes have tied shifts in byte mode (a..z and A..Z count
-    alike)."""
-    mode = draw(st.sampled_from(["byte", "letters"]))
-    n = 256 if mode == "byte" else 26
-    codes = list(LANE_CODES[n])
-    words = st.text(alphabet=string.ascii_lowercase + " ", max_size=40)
-    if mode == "letters":
-        words = words.map(lambda text: text.replace(" ", "").upper())
-    message = draw(st.one_of(
-        st.lists(st.sampled_from(codes), max_size=40).map(bytes),
-        words.map(str.encode),
-        words.map(lambda text: text.replace(" ", "").encode()),
-        st.builds(lambda code, length: bytes([code]) * length, st.sampled_from(codes), st.integers(0, 40)),
-    ))
-    m = draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]))
-    b, k = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
-    key = CipherParams(n, m, b, k, draw(st.integers(1, b)), draw(st.integers(1, k)))
-    cap = 8 if mode == "byte" else 25
-    caps = draw(st.tuples(st.integers(1, cap), st.integers(1, cap)))
-    min_score = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.9]), st.floats(0, 1)))
-    return (mode, encrypt(message, key), *caps, min_score)
-
-
-@settings(max_examples=300, deadline=None)
-@given(attack_inputs())
-def test_attacks_score_from_counts_as_a_wrapped_scorer_scores_texts(inputs):
-    mode, ct, cap_b, cap_k, min_score = inputs
-    wrapped = attack_results(ct, lambda data: english_score(data), mode, cap_b, cap_k, min_score)
-    assert attack_results(ct, english_score, mode, cap_b, cap_k, min_score) == wrapped
-
-
 def lane_oracle(ciphertext, scorer=english_score, *, mode="byte", min_score=None):
     """Reference for caesar_lane_attack: every shift of lane_b scored in
     full, the first maximum kept."""
@@ -531,11 +481,11 @@ def lane_oracle(ciphertext, scorer=english_score, *, mode="byte", min_score=None
                         effective_shift=best[1])
 
 
-def lane_outcome(attack, ct, mode, min_score):
+def lane_outcome(attack, ct, mode, min_score, scorer=english_score):
     """What caesar_lane_attack and lane_oracle must agree on, or the error
     (such as NotFound) and its text."""
     try:
-        result = attack(ct, english_score, mode=mode, min_score=min_score)
+        result = attack(ct, scorer, mode=mode, min_score=min_score)
     except CipherError as err:
         return type(err), str(err)
     return (result.recovered_key, result.plaintext, repr(result.score),
@@ -559,6 +509,49 @@ def test_caesar_lane_attack_scores_every_shift_with_a_wrapped_scorer():
 
     caesar_lane_attack(ct, counting)
     assert len(set(calls)) == len(calls) == 256
+
+
+@st.composite
+def attack_inputs(draw):
+    """(mode, ciphertext, cap_b, cap_k, min_score): random, English-like,
+    constant and empty messages.  Lowercase words without spaces and
+    constant bytes have tied shifts in byte mode (a..z and A..Z count
+    alike)."""
+    mode = draw(st.sampled_from(["byte", "letters"]))
+    n = 256 if mode == "byte" else 26
+    codes = list(LANE_CODES[n])
+    words = st.text(alphabet=string.ascii_lowercase + " ", max_size=40)
+    if mode == "letters":
+        words = words.map(lambda text: text.replace(" ", "").upper())
+    message = draw(st.one_of(
+        st.lists(st.sampled_from(codes), max_size=40).map(bytes),
+        words.map(str.encode),
+        words.map(lambda text: text.replace(" ", "").encode()),
+        st.builds(lambda code, length: bytes([code]) * length,
+                  st.sampled_from(codes), st.integers(0, 40)),
+    ))
+    m = draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]))
+    b, k = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    key = CipherParams(n, m, b, k, draw(st.integers(1, b)), draw(st.integers(1, k)))
+    cap = 8 if mode == "byte" else 25
+    caps = draw(st.tuples(st.integers(1, cap), st.integers(1, cap)))
+    min_score = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.9]), st.floats(0, 1)))
+    return (mode, encrypt(message, key), *caps, min_score)
+
+
+@settings(max_examples=300, deadline=None)
+@given(attack_inputs())
+def test_attacks_score_from_counts_as_a_wrapped_scorer_scores_texts(inputs):
+    mode, ct, cap_b, cap_k, min_score = inputs
+
+    def wrapped(data):
+        return english_score(data)
+
+    args = (mode, cap_b, cap_k, min_score)
+    assert (attack_outcome(brute_force, ct, english_score, *args)
+            == attack_outcome(brute_force, ct, wrapped, *args))
+    assert (lane_outcome(caesar_lane_attack, ct, mode, min_score)
+            == lane_outcome(caesar_lane_attack, ct, mode, min_score, wrapped))
 
 
 class TestCaesarLaneAttack:
