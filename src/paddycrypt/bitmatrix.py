@@ -21,14 +21,18 @@ columns read them backwards, which reverses the column's 2N bits.
 
 interleave and deinterleave work on the packed stream: the 16N harvested
 bits, 8 to a byte, most significant bit first, 2 bytes per symbol.  They
-use the closed form four symbols at a time.  The 8 bytes A[i], rev(B[i]),
+use the closed form on eight row integers.  The 8 bytes A[i], rev(B[i]),
 ..., A[i+3], rev(B[i+3]) (rev reverses a byte's bit order) are an 8x8 bit
-block whose column c holds the 4 pairs of column c; transposing every block
-makes byte c of each block the next packed byte of column c.  A column is
-2N bits, so when N is not a multiple of 4 the lanes get leading zero
-symbols that align each column to whole bytes, and each column is shifted
-into its place in the stream as an integer.  pack_cells and unpack_cells
-convert between the packed stream and one 0/1 cell per bit.
+block whose column c holds the 4 pairs of column c.  Row r of every block is
+one strided slice of a lane: row 2q is A[q::4] and row 2q+1 is rev(B)[q::4],
+read as one big-endian integer, so byte j of row r is row r of block j.
+Three delta swaps on whole rows transpose every block at once, after which
+row c holds column c's pairs in block order, which is stream order; odd
+columns are harvested upwards, so their bits are reversed.  A column is 2N
+bits, so when N is not a multiple of 4 the lanes get leading zero symbols
+that align each column to whole bytes, and the columns, less their padding
+bits, are stitched into the stream as one integer.  pack_cells and
+unpack_cells convert between the packed stream and one 0/1 cell per bit.
 
 place, harvest and build_permutation do the same cell by cell; they are
 the reference that tests compare the closed form against.
@@ -46,16 +50,10 @@ COLS = 8
 _PLANES = tuple(bytes((v >> s) & 1 for v in range(256)) for s in range(COLS))
 # Each byte with its bit order reversed.
 _REVERSE = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
-# Rows are transposed this many bytes (512 blocks) at a time, which keeps
-# the integers small.
-_CHUNK = 4096
-# The three delta swaps, (shift, mask of one block), that transpose each
-# 8x8 bit block of a big-endian integer (Hacker's Delight, transpose8).
-_TRANSPOSE_SWAPS = (
-    (7, bytes.fromhex("00aa00aa00aa00aa")),
-    (14, bytes.fromhex("0000cccc0000cccc")),
-    (28, bytes.fromhex("00000000f0f0f0f0")),
-)
+# The delta swaps that transpose 8x8 bit blocks held one row a byte
+# (Hacker's Delight, transpose8): distance d, the pattern of one byte, and
+# the rows r that swap with rows r + d.
+_SWAPS = ((1, 0xAA, (0, 2, 4, 6)), (2, 0xCC, (0, 1, 4, 5)), (4, 0xF0, (0, 1, 2, 3)))
 
 
 def symbol_to_bits(s: int) -> list[int]:
@@ -235,48 +233,55 @@ def unpack_cells(packed: bytes) -> bytes:
     return bytes(cells)
 
 
-def _transpose_blocks(data) -> bytes:
-    """Transpose every 8x8 bit block (8 bytes, one row a byte) of data."""
-    # The masks repeat every block from the low end, so a short last chunk
-    # uses their low blocks as they are.
-    blocks = min(len(data), _CHUNK) // 8
-    swaps = [(shift, int.from_bytes(pattern * blocks, "big"))
-             for shift, pattern in _TRANSPOSE_SWAPS]
-    out = []
-    for start in range(0, len(data), _CHUNK):
-        chunk = data[start:start + _CHUNK]
-        value = int.from_bytes(chunk, "big")
-        for shift, mask in swaps:
-            t = (value ^ value >> shift) & mask
-            value ^= t | t << shift
-        out.append(value.to_bytes(len(chunk), "big"))
-    return b"".join(out)
+def _transpose(rows: list[int], width: int) -> None:
+    """Transpose, in place, the 8x8 bit blocks that eight row ints hold.
+
+    Byte j of rows[r] (big-endian, width bytes) is row r of block j; after
+    the call byte j of rows[c] is column c of block j, first row most
+    significant.  The three delta swaps of Hacker's Delight's transpose8
+    run on whole rows: swap d exchanges the off-diagonal d x d sub-blocks
+    of rows r and r + d in every block at once.
+    """
+    ones = ((1 << 8 * width) - 1) // 255  # 0x01 in every byte
+    for d, pattern, tops in _SWAPS:
+        mask = pattern * ones
+        for r in tops:
+            t = (rows[r + d] ^ rows[r] << d) & mask
+            rows[r + d] ^= t
+            rows[r] ^= t >> d
+
+
+def _flip(row: int, width: int) -> bytes:
+    """The width bytes of row with the order of all their bits reversed."""
+    return row.to_bytes(width, "little").translate(_REVERSE)
 
 
 def interleave(codes_a: bytes, codes_b: bytes) -> bytes:
     """Packed ciphertext of the lane bytes: harvest of place, 8 bits a byte."""
     n = len(codes_a)
+    if len(codes_b) != n:
+        raise LengthMismatch(f"lanes differ: {n} vs {len(codes_b)} bytes")
     pad = -n % 4
-    rows = bytearray(2 * (n + pad))
-    rows[0::2] = bytes(pad) + codes_a
-    rows[1::2] = (bytes(pad) + codes_b).translate(_REVERSE)
-    blocks = _transpose_blocks(rows)
-    out = bytearray(2 * n)
-    for col in range(COLS):
-        column = blocks[col::8]
+    width = (n + pad) // 4
+    lane_a = bytes(pad) + codes_a
+    lane_b = (bytes(pad) + codes_b).translate(_REVERSE)
+    rows = []
+    for q in range(4):
+        rows += int.from_bytes(lane_a[q::4], "big"), int.from_bytes(lane_b[q::4], "big")
+    del lane_a, lane_b
+    _transpose(rows, width)
+    # Row c holds column c's 2(N + pad) bits in stream order, padding first;
+    # odd columns are harvested upwards, which reverses them, padding last.
+    if not pad:
+        return b"".join(_flip(row, width) if col % 2 else row.to_bytes(width, "big")
+                        for col, row in enumerate(rows))
+    # Each column is 2N bits of the stream, without its padding bits.
+    stream = 0
+    for col, row in enumerate(rows):
         if col % 2:
-            # Reversing the padded column's bits puts the padding last.
-            bits = int.from_bytes(column[::-1].translate(_REVERSE), "big") >> 2 * pad
-        else:
-            bits = int.from_bytes(column, "big")
-        # The column's 2N bits are stream bits [2N*col, 2N*(col+1)).
-        start, end = 2 * n * col, 2 * n * (col + 1)
-        lo, hi = start // 8, (end + 7) // 8
-        bits <<= -end % 8
-        if start % 8:  # the first byte also ends the previous column
-            bits |= out[lo] << 8 * (hi - lo - 1)
-        out[lo:hi] = bits.to_bytes(hi - lo, "big")
-    return bytes(out)
+            row = int.from_bytes(_flip(row, width), "big") >> 2 * pad
+        stream = stream << 2 * n | row
+    return stream.to_bytes(2 * n, "big")
 
 
 def deinterleave(packed: bytes) -> tuple[bytes, bytes]:
@@ -287,17 +292,23 @@ def deinterleave(packed: bytes) -> tuple[bytes, bytes]:
     pad = -n % 4
     width = (n + pad) // 4
     mask = (1 << 2 * n) - 1
-    blocks = bytearray(COLS * width)
-    for col in range(COLS):
-        start, end = 2 * n * col, 2 * n * (col + 1)
-        bits = int.from_bytes(packed[start // 8:(end + 7) // 8], "big") >> (-end % 8) & mask
-        if col % 2:
-            # Reversed back into pair order, the padding leads again.
-            blocks[col::8] = (bits << 2 * pad).to_bytes(width, "big")[::-1].translate(_REVERSE)
-        else:
-            blocks[col::8] = bits.to_bytes(width, "big")
-    rows = _transpose_blocks(blocks)
-    return rows[2 * pad::2], rows[2 * pad + 1::2].translate(_REVERSE)
+    rows = []
+    # Column col and the odd one after it are stream bits [start, mid) and
+    # [mid, end).  Read backwards, the odd one is back in pair order,
+    # and in both the padding bits lead again, as the row's high zero bits.
+    for col in range(0, COLS, 2):
+        start, mid, end = 2 * n * col, 2 * n * (col + 1), 2 * n * (col + 2)
+        rows.append(int.from_bytes(packed[start // 8:(mid + 7) // 8], "big") >> -mid % 8 & mask)
+        rows.append(int.from_bytes(packed[mid // 8:(end + 7) // 8].translate(_REVERSE), "little")
+                    >> mid % 8 & mask)
+    _transpose(rows, width)
+    lane_a = bytearray(4 * width)
+    lane_b = bytearray(4 * width)
+    for q in range(4):
+        lane_a[q::4] = rows[2 * q].to_bytes(width, "big")
+        lane_b[q::4] = rows[2 * q + 1].to_bytes(width, "big")
+    del rows, lane_a[:pad], lane_b[:pad]
+    return bytes(lane_a), bytes(lane_b).translate(_REVERSE)
 
 
 def unharvest(bits) -> tuple[list, list]:

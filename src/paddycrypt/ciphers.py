@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidKey, IterationBoundExceeded, NoInverse, NonLetterOutput
+from .errors import InvalidArgument, InvalidKey, IterationBoundExceeded, NoInverse, NonLetterOutput
 
 LANE_AFFINE = "affine"
 LANE_CAESAR = "caesar"
@@ -36,11 +36,12 @@ LANE_CODES = {256: bytes(range(256)), 26: b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
 
 
 def alphabet_size(mode: str) -> int:
-    """n for the mode name; raises ValueError for an unknown mode."""
+    """n for the mode name; raises InvalidArgument for an unknown mode."""
     try:
         return ALPHABET_SIZES[mode]
     except KeyError:
-        raise ValueError(f"mode must be one of {sorted(ALPHABET_SIZES)}, got {mode!r}") from None
+        raise InvalidArgument(
+            f"mode must be one of {sorted(ALPHABET_SIZES)}, got {mode!r}") from None
 
 
 def mod_inverse(m: int, n: int) -> int:
@@ -50,7 +51,7 @@ def mod_inverse(m: int, n: int) -> int:
     m cannot be decrypted.
     """
     if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
+        raise InvalidArgument(f"modulus must be >= 2, got {n}")
     r0, r1 = m % n, n
     s0, s1 = 1, 0
     while r1:
@@ -148,7 +149,7 @@ def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
         rounds, bound, name = params.rc, params.k, "rc"
         m, b = 1, -params.k if decrypt else params.k
     else:
-        raise ValueError(f"unknown lane {lane!r}")
+        raise InvalidArgument(f"unknown lane {lane!r}")
     # Construction already enforces a unit m and these bounds; both are
     # re-checked so a tampered key object still fails here instead of
     # producing undecryptable output.
@@ -172,7 +173,7 @@ def _map_stream(stream, table: bytes, n: int) -> list[int]:
     out = []
     for s in stream:
         if not 0 <= s < n:
-            raise ValueError(f"symbol {s} outside [0, {n})")
+            raise InvalidArgument(f"symbol {s} outside [0, {n})")
         # Lane codes are consecutive, so code - codes[0] is the symbol.
         out.append(table[codes[s]] - codes[0])
     return out

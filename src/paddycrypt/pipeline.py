@@ -18,6 +18,7 @@ letters and folds them to uppercase, which makes them the lane codes the
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -36,6 +37,7 @@ from .errors import (
     BadLength,
     CipherError,
     IntegrityMismatch,
+    InvalidArgument,
     InvalidKey,
     NonLetterInput,
     ParseError,
@@ -46,6 +48,12 @@ KEY_FIELDS = ("mode", "n", "m", "b", "k", "ra", "rc")
 CIPHERTEXT_HEX_HEADER = "fmt=hex"
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
+# The characters str.splitlines() breaks lines at.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# Blank lines, then the hex header line if the first line that is not blank
+# is the header, then the whitespace before the body.
+_BODY_START = re.compile(
+    rf"\s*(?:({re.escape(CIPHERTEXT_HEX_HEADER)})[^\S{_LINE_BREAKS}]*(?:[{_LINE_BREAKS}]|\Z)\s*)?")
 _LETTERS = LANE_CODES[26] + LANE_CODES[26].lower()
 
 
@@ -242,13 +250,26 @@ def format_ciphertext(ciphertext: CipherText, fmt: str = "bits") -> str:
         return ciphertext.to_bitstring() + "\n"
     if fmt == "hex":
         return f"{CIPHERTEXT_HEX_HEADER}\n{ciphertext.to_hex()}\n"
-    raise ValueError(f"format must be 'bits' or 'hex', got {fmt!r}")
+    raise InvalidArgument(f"format must be 'bits' or 'hex', got {fmt!r}")
 
 
 def parse_ciphertext(text: str) -> CipherText:
-    """Inverse of format_ciphertext; detects the hex header automatically."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if lines and lines[0] == CIPHERTEXT_HEX_HEADER:
-        return CipherText.from_hex("".join(lines[1:]))
-    return CipherText.from_bitstring("".join(lines))
+    """Inverse of format_ciphertext; detects the hex header automatically.
+
+    The body may span lines: each line is read without the whitespace
+    around it, and whitespace within a line is an error.
+    """
+    start = _BODY_START.match(text)
+    parse = CipherText.from_hex if start[1] else CipherText.from_bitstring
+    # Slice the body once, without the whitespace that ends the text:
+    # rstrip() on the text would copy it first, so strip only its last 16
+    # characters; a longer run of whitespace takes the line-joining path.
+    tail = text[-16:]
+    body = text[start.end():len(text) - len(tail) + len(tail.rstrip())]
+    try:
+        return parse(body)
+    except CipherError:
+        pass
+    # Both parsers reject whitespace, so only a body that failed can span
+    # lines: parse it again with its lines joined.
+    return parse("".join(line.strip() for line in body.splitlines()))

@@ -45,6 +45,20 @@ def naive_interleave(lane_a, lane_b):
     return out
 
 
+def permutation_interleave(codes_a, codes_b):
+    """Oracle for interleave: the lane cells through build_permutation, packed."""
+    cells = symbols_to_bits(codes_a) + symbols_to_bits(codes_b)
+    return pack_cells(build_permutation(len(codes_a)).apply(cells))
+
+
+def permutation_deinterleave(packed):
+    """Oracle for deinterleave: the ciphertext cells back through
+    build_permutation, each lane packed."""
+    half = 4 * len(packed)
+    cells = build_permutation(len(packed) // 2).invert(unpack_cells(packed))
+    return pack_cells(cells[:half]), pack_cells(cells[half:])
+
+
 class TestBitConversion:
     @pytest.mark.parametrize(
         "value,expected",
@@ -247,12 +261,38 @@ class TestUnharvest:
         with pytest.raises(BadLength):
             deinterleave(bytes(3))
 
+    def test_interleave_rejects_lanes_of_different_lengths(self):
+        for a, b in ((b"ab", b"abc"), (b"abcde", b"abcd")):
+            with pytest.raises(LengthMismatch):
+                interleave(a, b)
+
     def test_deinterleave_inverts_interleave(self):
         rng = random.Random(21)
         for n_sym in list(range(65)) + [4096]:
             a = rng.randbytes(n_sym)
             b = rng.randbytes(n_sym)
             assert deinterleave(interleave(a, b)) == (a, b)
+
+    # Every N up to 70 reaches each residue mod 4 (the padding) with up to
+    # 18 blocks; 4093-4097 reach each again with about 1024 blocks a row.
+    @pytest.mark.parametrize("n_sym", list(range(71)) + list(range(4093, 4098)))
+    def test_interleave_matches_the_permutation(self, n_sym):
+        rng = random.Random(n_sym)
+        a, b = rng.randbytes(n_sym), rng.randbytes(n_sym)
+        packed = interleave(a, b)
+        assert packed == permutation_interleave(a, b)
+        assert deinterleave(packed) == (a, b)
+        other = rng.randbytes(2 * n_sym)
+        assert deinterleave(other) == permutation_deinterleave(other)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=200).flatmap(
+        lambda a: st.tuples(st.just(a), st.binary(min_size=len(a), max_size=len(a)))))
+    def test_interleave_round_trip_property(self, lanes):
+        a, b = lanes
+        packed = interleave(a, b)
+        assert packed == permutation_interleave(a, b)
+        assert deinterleave(packed) == (a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from paddycrypt.analysis import _check_caps, brute_force
 from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
+from paddycrypt.ciphers import LANE_AFFINE, alphabet_size, iterate_encrypt, lane_table, mod_inverse
 from paddycrypt.cli import main
 from paddycrypt.errors import CipherError, InvalidArgument
 from paddycrypt.pipeline import (
@@ -29,18 +30,26 @@ KEYS = (
 )
 
 
-@pytest.mark.parametrize("call", [
-    lambda: symbol_to_bits(256),
-    lambda: symbols_to_bits(["a"]),
-    lambda: build_permutation(-1),
-    lambda: _check_caps(26, 1, 26),
-    lambda: brute_force(encrypt(b"x", KEYS[0]), cap_b=0),
-], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "_check_caps", "brute_force"])
-def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call):
+@pytest.mark.parametrize("call,message", [
+    (lambda: symbol_to_bits(256), "symbol 256 outside [0, 256)"),
+    (lambda: symbols_to_bits(["a"]), "symbol 'a' outside [0, 256)"),
+    (lambda: build_permutation(-1), "symbol count must be >= 0, got -1"),
+    (lambda: _check_caps(26, 1, 26), "cap_k must be in [1, 26), got 26"),
+    (lambda: brute_force(encrypt(b"x", KEYS[0]), cap_b=0), "cap_b must be in [1, 256), got 0"),
+    (lambda: alphabet_size("bogus"), "mode must be one of ['byte', 'letters'], got 'bogus'"),
+    (lambda: mod_inverse(3, 1), "modulus must be >= 2, got 1"),
+    (lambda: lane_table(KEYS[0], "x"), "unknown lane 'x'"),
+    (lambda: iterate_encrypt([300], KEYS[0], LANE_AFFINE), "symbol 300 outside [0, 256)"),
+    (lambda: format_ciphertext(encrypt(b"x", KEYS[0]), "xml"),
+     "format must be 'bits' or 'hex', got 'xml'"),
+], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "_check_caps", "brute_force",
+        "alphabet_size", "mod_inverse", "lane_table", "iterate_encrypt", "format_ciphertext"])
+def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
         call()
     assert isinstance(err.value, CipherError)
     assert isinstance(err.value, ValueError)
+    assert str(err.value) == message
 
 
 # Key-file-like text: name=value lines mixed with arbitrary ones.

@@ -33,6 +33,30 @@ from paddycrypt.pipeline import (
 BYTE_KEY = CipherParams(n=256, m=3, b=7, k=3, ra=1, rc=1)
 
 
+def parse_lines_oracle(text):
+    """Reference for parse_ciphertext: split the text into lines, strip
+    them, drop the blank ones, and join the rest after a hex header."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if lines and lines[0] == "fmt=hex":
+        return CipherText.from_hex("".join(lines[1:]))
+    return CipherText.from_bitstring("".join(lines))
+
+
+def outcome(parse, text):
+    """What parse does with text: the ciphertext, or the error and its message."""
+    try:
+        return parse(text)
+    except CipherError as err:
+        return type(err), str(err)
+
+
+# Every line break str.splitlines() honours ("\r\n" is one), and some
+# whitespace that is not a line break.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+
+
 class TestEncrypt:
     def test_single_byte_frozen_vector(self):
         # hand-simulated: lanes 202/68, single-pair harvest order
@@ -469,6 +493,44 @@ class TestCipherTextFormats:
     def test_bad_bit_count(self):
         with pytest.raises(BadLength):
             parse_ciphertext("0101\n")
+
+    # Blank lines, a header line (or a near miss), a separator, then a body
+    # of digits, whitespace and line breaks.
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(
+        st.lists(st.sampled_from(LINE_BREAKS + SPACES), max_size=3).map("".join),
+        st.sampled_from(["fmt=hex", "", "fmt", "fmt=hexa"]),
+        st.sampled_from(LINE_BREAKS + SPACES + [""]),
+        st.lists(st.one_of(
+            st.sampled_from(["fmt=hex", "0", "1", "01" * 8, "ab", "c", "0f1e", "g", "_", "\ud800"]
+                            + LINE_BREAKS + SPACES),
+            st.text("0123456789abcdefABCDEF", max_size=9),
+        ), max_size=12).map("".join),
+    ).map("".join))
+    def test_parse_matches_the_line_oracle(self, text):
+        assert outcome(parse_ciphertext, text) == outcome(parse_lines_oracle, text)
+
+    @pytest.mark.parametrize("sep", LINE_BREAKS + SPACES)
+    def test_every_line_break_and_space_parses_as_the_line_oracle(self, sep):
+        for text in (f"fmt=hex{sep}01{sep}23{sep}", f"{sep}fmt=hex {sep}0123",
+                     f"0101{sep}0101{sep}0101{sep}0101{sep}", f"01010101{sep}0101{sep}0101"):
+            assert outcome(parse_ciphertext, text) == outcome(parse_lines_oracle, text)
+
+    @pytest.mark.parametrize("text", [
+        "fmt=hex\n0123\n4567\n",
+        " \r\n fmt=hex \u2028 01\x1c23 \n\n",
+        "fmt=hex\r\n01\r\n2\r\n3",
+        "fmt=hex\n01 23\n",
+        "fmt=hex\n0\n1g\n",
+        "fmt=hexab\n",
+        "\n\x85 fmt=hex",
+        " \t ",
+        "fmt=hex\n0123" + " \n" * 20,
+        "01" * 8 + "\t" * 40,
+        "01" * 7 + " 01" + "\r\n" * 20,
+    ])
+    def test_multi_line_bodies_parse_as_the_line_oracle(self, text):
+        assert outcome(parse_ciphertext, text) == outcome(parse_lines_oracle, text)
 
     @settings(max_examples=40, deadline=None)
     @given(st.binary(max_size=40), st.integers(0, 2**32 - 1))
