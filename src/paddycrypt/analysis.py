@@ -27,21 +27,25 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, groupby, product
+from itertools import accumulate, chain, groupby, product
 from math import gcd, prod
 from operator import add, sub
 from string import ascii_lowercase, ascii_uppercase
 
 from .bitmatrix import deinterleave
 from .ciphers import (
+    LANE_AFFINE,
+    LANE_CAESAR,
     LANE_CODES,
     CipherParams,
     affine_table,
     alphabet_size,
     check_lane_codes,
+    iterated_affine,
+    lane_table,
 )
 from .errors import CipherError, InvalidArgument, NotFound
-from .pipeline import CipherText, encrypt
+from .pipeline import CipherText, _plaintext_codes
 
 # Relative letter frequencies in running English text (A..Z).
 ENGLISH_LETTER_FREQ = {
@@ -151,19 +155,21 @@ def frequency_profile(data, n: int = 256) -> list[float]:
 
     Byte or symbol sequences profile over [0, n); CipherText inputs are
     profiled per bit (n=2), exposing the ciphertext's 0/1 balance.  Raises
-    CipherError for a value outside [0, n).
+    CipherError for a value that is not an int in [0, n).
     """
     if isinstance(data, CipherText):
-        total = 8 * len(data.packed)
         ones = int.from_bytes(data.packed, "big").bit_count()
-        counts = [total - ones, ones]
+        counts = [8 * len(data.packed) - ones, ones]
     else:
         counts = [0] * n
-        for v in data:
-            if not 0 <= v < n:
-                raise CipherError(f"value {v} outside [0, {n})")
-            counts[v] += 1
-        total = len(data)
+        try:
+            for v in data:
+                if not 0 <= v < n:
+                    raise CipherError(f"value {v} outside [0, {n})")
+                counts[v] += 1
+        except TypeError:
+            raise InvalidArgument(f"values must be ints in [0, {n})") from None
+    total = sum(counts)
     if not total:
         return [0.0] * len(counts)
     return [c / total for c in counts]
@@ -283,19 +289,15 @@ def brute_force(
         # Every key agrees on the empty text; only the smallest can win.
         fits, shifts = [(1, 0)], {1: (1, 1)}
 
-    # For each fitting M, B -> the smallest (m, b, ra) with m^ra = M and
-    # b*(1 + m + ... + m^(ra-1)) = B, filled in walk order (m, b, ra) until
-    # every B has one.
+    # For each fitting M, B -> the smallest (m, b, ra) with
+    # iterated_affine(m, b, ra, n) = (M, B), filled in walk order (m, b, ra)
+    # until every B has one.
     tables = {}
     for M, _ in fits:
         table = tables[M] = {}
         for m, roots in groupby(_roots(M, n, cap_b), key=lambda root: root[0]):
-            # (ra, 1 + m + ... + m^(ra-1)), the division exact as in
-            # ciphers.lane_table.
-            totals = [
-                (ra, ra if m == 1 else (pow(m, ra, (m - 1) * n) - 1) // (m - 1))
-                for _, ra in roots
-            ]
+            # (ra, B at b = 1): B at b is b times it.
+            totals = [(ra, iterated_affine(m, 1, ra, n)[1]) for _, ra in roots]
             for b in range(1, cap_b + 1):
                 for ra, total in totals:
                     if ra > b:
@@ -478,32 +480,30 @@ def caesar_lane_attack(
 
 
 def avalanche(plaintext: bytes, key: CipherParams) -> list[DiffusionReport]:
-    """Flip each plaintext bit in turn, re-encrypt, and report the fraction
-    of ciphertext bits that changed.
+    """Flip each plaintext bit in turn and report the fraction of the 16N
+    ciphertext bits that the flip changes.
 
     Bits are indexed most-significant first within each byte.  In letters
     mode the flipped bit is one of the symbol index (the letter's offset
-    from A), reduced mod 26 so the input stays a letter.  Diffusion here is
-    local by construction: one plaintext symbol feeds exactly 16 ciphertext
-    bit positions.
+    from A), reduced mod 26 so the input stays a letter.
+
+    Diffusion is local by construction, so nothing is re-encrypted: each
+    lane maps a symbol's code c alone and the transposition only moves bits,
+    so flipping c to c' changes popcount(A[c] ^ A[c']) + popcount(B[c] ^
+    B[c']) ciphertext bits, A and B the key's two lane tables.
     """
-    packed = encrypt(plaintext, key).packed
-    base = int.from_bytes(packed, "big")
-    total = 8 * len(packed)
-    data = bytes(plaintext)
-    if key.mode == "letters":
-        data = data.upper()
+    data = _plaintext_codes(plaintext, key)
+    tables = lane_table(key, LANE_AFFINE), lane_table(key, LANE_CAESAR)
     codes = LANE_CODES[key.n]
-    reports = []
-    for bit in range(8 * len(data)):
-        mutated = bytearray(data)
-        i = bit // 8
+    total = 16 * len(data)
+    rows = {}
+    for code in set(data):
         # Lane codes are consecutive, so code - codes[0] is the symbol.
-        symbol = (mutated[i] - codes[0]) ^ 1 << (7 - bit % 8)
-        mutated[i] = codes[symbol % key.n]
-        other = int.from_bytes(encrypt(bytes(mutated), key).packed, "big")
-        reports.append(DiffusionReport(bit, (base ^ other).bit_count() / total))
-    return reports
+        flips = [codes[((code - codes[0]) ^ 1 << (7 - bit)) % key.n] for bit in range(8)]
+        rows[code] = [sum((t[code] ^ t[flip]).bit_count() for t in tables) / total
+                      for flip in flips]
+    fractions = chain.from_iterable(map(rows.__getitem__, data))
+    return list(map(DiffusionReport, range(8 * len(data)), fractions))
 
 
 def mean_fraction(reports) -> float:

@@ -15,8 +15,6 @@ Each lane of the combined scheme re-applies its single-step map a secret
 number of times (``ra`` for the affine lane, ``rc`` for the caesar lane),
 so one (m, b, k) family yields a different ciphertext for every iteration
 count.  The counts are bounded by the shifts themselves: ra <= b, rc <= k.
-r steps of s -> m*s + b are one affine map, s -> m^r*s + b*(m^(r-1)+...+1),
-so an iterated lane is a single ``affine_table`` too.
 """
 
 from __future__ import annotations
@@ -52,15 +50,10 @@ def mod_inverse(m: int, n: int) -> int:
     """
     if n < 2:
         raise InvalidArgument(f"modulus must be >= 2, got {n}")
-    r0, r1 = m % n, n
-    s0, s1 = 1, 0
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise NoInverse(f"{m} has no inverse modulo {n} (gcd {r0})")
-    return s0 % n
+    try:
+        return pow(m, -1, n)
+    except ValueError:
+        raise NoInverse(f"{m} has no inverse modulo {n} (gcd {gcd(m, n)})") from None
 
 
 def affine_encrypt_symbol(p: int, m: int, b: int, n: int) -> int:
@@ -137,8 +130,7 @@ def affine_table(n: int, m: int, b: int) -> bytes:
 
 def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
     """The lane's step map applied ra (affine) or rc (caesar) times, as a
-    ``bytes.translate`` table over lane codes; decrypt=True inverts it.
-    Built in closed form: r steps of s -> m*s + b are s -> m^r*s + b*(m^(r-1)+...+1)."""
+    ``bytes.translate`` table over lane codes; decrypt=True inverts it."""
     n = params.n
     if lane == LANE_AFFINE:
         rounds, bound, name = params.ra, params.b, "ra"
@@ -155,10 +147,18 @@ def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
     # producing undecryptable output.
     if not 1 <= rounds <= bound:
         raise IterationBoundExceeded(f"{name}={rounds} outside [1, {bound}]")
-    # The division is exact, as m^r = 1 (mod m - 1); reducing m^r mod
-    # (m - 1)*n keeps the quotient right mod n.
-    total = rounds if m == 1 else (pow(m, rounds, (m - 1) * n) - 1) // (m - 1)
-    return affine_table(n, pow(m, rounds, n), b * total % n)
+    return affine_table(n, *iterated_affine(m, b, rounds, n))
+
+
+def iterated_affine(m: int, b: int, r: int, n: int) -> tuple[int, int]:
+    """(M, B) with r steps of s -> m*s + b equal to s -> M*s + B (mod n):
+    M = m^r and B = b*(1 + m + ... + m^(r-1)), both reduced mod n."""
+    if m == 1:
+        return 1, b * r % n
+    # The division is exact, as m^r = 1 (mod m - 1); m^r reduced mod
+    # (m - 1)*n is still m^r mod n, and keeps the quotient right mod n.
+    power = pow(m, r, (m - 1) * n)
+    return power % n, b * ((power - 1) // (m - 1)) % n
 
 
 def check_lane_codes(codes: bytes, n: int) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import re
+from binascii import a2b_hex
 from dataclasses import dataclass
 from math import gcd
 
@@ -122,19 +123,30 @@ class CipherText:
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":
-        # bytes.fromhex checks the digits without copying the text, but it
-        # skips whitespace and rejects an odd length: a text it rejects or
-        # reads short gets the character check, then the length check, so
-        # the error is the one those checks alone would give.
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError:
-            raw = b""
-        if 2 * len(raw) != len(text):
-            _check_chars(text, _HEX_DIGITS, "invalid hex digit {!r}")
-        if len(text) % 4:
-            raise BadLength(f"ciphertext bit count {4 * len(text)} is not a multiple of 16")
-        return cls.from_packed(raw)
+        if not len(text) % 4:
+            try:
+                return cls.from_packed(a2b_hex(text))
+            except ValueError:
+                pass
+        # a2b_hex rejected a non-hex character, reported first, or the length.
+        _check_chars(text, _HEX_DIGITS, "invalid hex digit {!r}")
+        raise BadLength(f"ciphertext bit count {4 * len(text)} is not a multiple of 16")
+
+
+def _plaintext_codes(plaintext, key: CipherParams) -> bytes:
+    """encrypt's plaintext, checked, as lane codes (uppercase in letters mode)."""
+    try:
+        if isinstance(plaintext, int):  # bytes(5) is five zero bytes
+            raise TypeError
+        data = bytes(plaintext)
+    except (TypeError, ValueError):
+        raise InvalidArgument("plaintext values must be bytes in [0, 256)") from None
+    if key.mode == "letters":
+        bad = data.translate(None, _LETTERS)
+        if bad:
+            raise NonLetterInput(f"byte {bad[0]:#04x} is not a letter")
+        data = data.upper()
+    return data
 
 
 def encrypt(plaintext, key: CipherParams) -> CipherText:
@@ -142,18 +154,10 @@ def encrypt(plaintext, key: CipherParams) -> CipherText:
 
     The affine and caesar lanes each encrypt the whole message; their bit
     expansions are interleaved through the planting/harvest permutation.
-    A plaintext given as a sequence of ints raises CipherError when one of
-    them is outside [0, 256).
+    A plaintext that is not bytes or a sequence of ints in [0, 256) raises
+    InvalidArgument, a CipherError.
     """
-    try:
-        data = bytes(plaintext)
-    except ValueError:
-        raise CipherError("plaintext values must be bytes in [0, 256)") from None
-    if key.mode == "letters":
-        bad = data.translate(None, _LETTERS)
-        if bad:
-            raise NonLetterInput(f"byte {bad[0]:#04x} is not a letter")
-        data = data.upper()
+    data = _plaintext_codes(plaintext, key)
     return CipherText.from_packed(interleave(data.translate(lane_table(key, LANE_AFFINE)),
                                              data.translate(lane_table(key, LANE_CAESAR))))
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from paddycrypt.analysis import (
     ENGLISH_LETTER_FREQ,
     AttackResult,
+    DiffusionReport,
     attack_csv,
     avalanche,
     avalanche_csv,
@@ -148,6 +149,8 @@ class TestFrequencyProfile:
         (b"\xff", 26, "255"),
         (b"ab", 0, "97"),
         ([-1], 4, "-1"),
+        ([1.5], 4, r"ints in \[0, 4\)"),
+        (["a"], 4, r"ints in \[0, 4\)"),
     ])
     def test_rejects_out_of_range_values(self, data, n, value):
         with pytest.raises(CipherError, match=value):
@@ -630,6 +633,46 @@ class TestAvalanche:
             other = encrypt(bytes(mutated), self.KEY).bits
             changed = sum(x != y for x, y in zip(base, other))
             assert report.ciphertext_hamming_fraction == changed / len(base)
+
+
+def avalanche_oracle(plaintext, key):
+    """avalanche by re-encryption: flip each bit, encrypt the whole message
+    again, and count the ciphertext bits that changed."""
+    base = int.from_bytes(encrypt(plaintext, key).packed, "big")
+    data = bytes(plaintext)
+    if key.mode == "letters":
+        data = data.upper()
+    codes = LANE_CODES[key.n]
+    reports = []
+    for bit in range(8 * len(data)):
+        mutated = bytearray(data)
+        i = bit // 8
+        symbol = (mutated[i] - codes[0]) ^ 1 << (7 - bit % 8)
+        mutated[i] = codes[symbol % key.n]
+        other = int.from_bytes(encrypt(bytes(mutated), key).packed, "big")
+        reports.append(DiffusionReport(bit, (base ^ other).bit_count() / (16 * len(data))))
+    return reports
+
+
+@st.composite
+def avalanche_inputs(draw):
+    """(plaintext, key): random bytes, or letters of either case, under a
+    random valid key of the mode."""
+    n = draw(st.sampled_from([256, 26]))
+    if n == 256:
+        plaintext = draw(st.binary(max_size=64))
+    else:
+        plaintext = draw(st.text(string.ascii_letters, max_size=64)).encode()
+    m = draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]))
+    b, k = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    return plaintext, CipherParams(n, m, b, k, draw(st.integers(1, b)), draw(st.integers(1, k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(avalanche_inputs())
+def test_avalanche_matches_reencryption(inputs):
+    plaintext, key = inputs
+    assert avalanche(plaintext, key) == avalanche_oracle(plaintext, key)
 
 
 class TestAvalancheLetters:

@@ -18,6 +18,7 @@ from paddycrypt.ciphers import (
     caesar_encrypt_symbol,
     iterate_decrypt,
     iterate_encrypt,
+    iterated_affine,
     lane_table,
     mod_inverse,
 )
@@ -365,6 +366,31 @@ class TestLaneTable:
             for b in (1, 2, 128, 255):
                 self.check_affine(256, m, b)
         self.check_caesar(256, 255)
+
+
+class TestIteratedAffine:
+    """iterated_affine against r-fold composition of affine_table."""
+
+    @staticmethod
+    def check(n, m, b, rounds):
+        codes = LANE_CODES[n]
+        step = affine_table(n, m, b % n)
+        table = LANE_CODES[256]
+        for r in range(1, rounds + 1):
+            table = table.translate(step)
+            M, B = iterated_affine(m, b, r, n)
+            assert (M, B) == (pow(m, r, n), table[codes[0]] - codes[0]), (n, m, b, r)
+            assert affine_table(n, M, B) == table, (n, m, b, r)
+
+    def test_exhaustive_26(self):
+        for m in units(26):
+            for b in range(-26, 26):
+                self.check(26, m, b, 30)
+
+    def test_units_256(self):
+        for m in units(256):
+            for b in (-255, -1, 0, 1, 2, 128, 255):
+                self.check(256, m, b, 40)
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paddycrypt.analysis import _check_caps, brute_force
+from paddycrypt.analysis import _check_caps, brute_force, frequency_profile
 from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
 from paddycrypt.ciphers import LANE_AFFINE, alphabet_size, iterate_encrypt, lane_table, mod_inverse
 from paddycrypt.cli import main
@@ -42,8 +42,17 @@ KEYS = (
     (lambda: iterate_encrypt([300], KEYS[0], LANE_AFFINE), "symbol 300 outside [0, 256)"),
     (lambda: format_ciphertext(encrypt(b"x", KEYS[0]), "xml"),
      "format must be 'bits' or 'hex', got 'xml'"),
+    (lambda: encrypt([256], KEYS[0]), "plaintext values must be bytes in [0, 256)"),
+    (lambda: encrypt([1.5], KEYS[0]), "plaintext values must be bytes in [0, 256)"),
+    (lambda: encrypt("text", KEYS[0]), "plaintext values must be bytes in [0, 256)"),
+    (lambda: encrypt(None, KEYS[0]), "plaintext values must be bytes in [0, 256)"),
+    (lambda: encrypt(5, KEYS[0]), "plaintext values must be bytes in [0, 256)"),
+    (lambda: frequency_profile([1.5], 4), "values must be ints in [0, 4)"),
+    (lambda: frequency_profile(["a"], 4), "values must be ints in [0, 4)"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "_check_caps", "brute_force",
-        "alphabet_size", "mod_inverse", "lane_table", "iterate_encrypt", "format_ciphertext"])
+        "alphabet_size", "mod_inverse", "lane_table", "iterate_encrypt", "format_ciphertext",
+        "encrypt-256", "encrypt-float", "encrypt-str", "encrypt-None", "encrypt-int",
+        "frequency_profile-float", "frequency_profile-str"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
         call()
