@@ -23,12 +23,13 @@ candidate text and score it in full.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, product
-from math import gcd, prod
+from itertools import accumulate, chain, groupby
+from math import gcd
 from operator import add, sub
 from string import ascii_lowercase, ascii_uppercase
 
@@ -110,23 +111,16 @@ def english_score(data: bytes) -> float:
     so a case-shifted copy that turns spaces into junk scores below the
     true plaintext.
     """
-    return _english_score(data, None)
-
-
-def _english_score(data: bytes, floor: float | None) -> float:
-    """english_score(data) when that is at least floor (always when floor
-    is None); otherwise some value below floor."""
-    if not data:
-        return 0.0
     letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
     counts = [letters.count(code) for code in _LETTER_CODES]
-    return _score_counts(len(data), len(letters) + data.count(32), counts, floor)
+    return _score_counts(len(data), len(letters) + data.count(32), counts, None)
 
 
 def _score_counts(size: int, letterish: int, counts, floor: float | None) -> float:
-    """_english_score of a non-empty text from its counts: size bytes,
-    letterish of them letters or spaces, and counts its a..z letter counts,
-    case folded.
+    """english_score of a text from its counts when that is at least floor
+    (always when floor is None), otherwise some value below floor: size
+    bytes, letterish of them letters or spaces, and counts its a..z letter
+    counts, case folded.  A text without letters scores 0.
 
     The score is top / (size + chi2), top = coverage * size, and chi2 >= 0
     is a sum of terms >= 0.  Float rounding is monotone, so top / (size +
@@ -201,29 +195,13 @@ class DiffusionReport:
     ciphertext_hamming_fraction: float
 
 
-# The unit group of each alphabet size as a product of cyclic groups,
-# (generator, order): {1, 255} x <5> mod 256, and <7> mod 26.
-_UNIT_GENERATORS = {256: ((255, 2), (5, 64)), 26: ((7, 12),)}
-
-
-def _unit_group(n: int):
-    """Each generator's powers x = 0, 1, ..., order - 1, and each unit's
-    exponents (its discrete logs) over the generators."""
-    powers = [[pow(g, x, n) for x in range(order)] for g, order in _UNIT_GENERATORS[n]]
-    logs = {
-        prod(p[x] for p, x in zip(powers, xs)) % n: xs
-        for xs in product(*(range(len(p)) for p in powers))
-    }
-    return powers, logs
-
-
-_UNIT_GROUPS = {n: _unit_group(n) for n in _UNIT_GENERATORS}
-
-
 def keyspace_size(n: int, cap_b: int, cap_k: int) -> int:
     """Number of grid keys: units(n) * sum(b<=B) b * sum(k<=K) k."""
-    _, logs = _UNIT_GROUPS[n]
-    return len(logs) * (cap_b * (cap_b + 1) // 2) * (cap_k * (cap_k + 1) // 2)
+    if type(n) is not int or n not in LANE_CODES:
+        raise InvalidArgument(f"n must be 26 or 256, got {n!r}")
+    _check_caps(n, cap_b, cap_k)
+    units = sum(1 for m in range(1, n) if gcd(m, n) == 1)
+    return units * (cap_b * (cap_b + 1) // 2) * (cap_k * (cap_k + 1) // 2)
 
 
 def is_degenerate_key(key: CipherParams) -> bool:
@@ -232,10 +210,9 @@ def is_degenerate_key(key: CipherParams) -> bool:
 
 
 def _check_caps(n: int, cap_b: int, cap_k: int) -> None:
-    if not 1 <= cap_b < n:
-        raise InvalidArgument(f"cap_b must be in [1, {n}), got {cap_b}")
-    if not 1 <= cap_k < n:
-        raise InvalidArgument(f"cap_k must be in [1, {n}), got {cap_k}")
+    for name, cap in (("cap_b", cap_b), ("cap_k", cap_k)):
+        if type(cap) is not int or not 1 <= cap < n:
+            raise InvalidArgument(f"{name} must be in [1, {n}), got {cap!r}")
 
 
 def brute_force(
@@ -255,8 +232,8 @@ def brute_force(
     M*p + B with M = m^ra and B = b*(1 + m + ... + m^(ra-1)), so a key's
     lanes agree exactly when lane_a = M*lane_b + C with C = B - M*s.  The
     units M that fit the lanes (usually one) fix C.  The roots (m, ra) of
-    m^ra = M come from the unit group's discrete logs, not from a walk
-    over every unit's powers.  Each reachable shift s then agrees through
+    m^ra = M come from one table per alphabet, built at the first attack,
+    of each unit's power cycle.  Each reachable shift s then agrees through
     B = C + M*s, which a table of the smallest (m, b, ra) per B answers,
     and gives one text, lane_b - s.  The agreeing shifts are scored as in
     caesar_lane_attack: with english_score, from one histogram of lane_b,
@@ -333,29 +310,28 @@ def brute_force(
     )
 
 
+@functools.cache  # built at the first attack, not at import
+def _power_roots(n: int) -> dict[int, list[tuple[int, int, int]]]:
+    """Unit M -> every (m, e, order), in m order, with m a unit, order its
+    multiplicative order and m^e = M (mod n), 1 <= e <= order: each unit's
+    powers walked until they return to 1."""
+    table = {}
+    for m in range(1, n):
+        if gcd(m, n) != 1:
+            continue
+        powers = [m]
+        while powers[-1] != 1:
+            powers.append(powers[-1] * m % n)
+        for e, M in enumerate(powers, 1):
+            table.setdefault(M, []).append((m, e, len(powers)))
+    return table
+
+
 def _roots(M: int, n: int, cap_b: int) -> list[tuple[int, int]]:
     """Every (m, ra) with ra <= cap_b and m^ra = M (mod n), M a unit, in
-    (m, ra) order.
-
-    Over the unit group's cyclic factors, m and M are exponent vectors x
-    and y, and m^ra = M is x*ra = y modulo each factor's order.  That has
-    g = gcd(ra, order) solutions, order/g apart, when g divides y, and
-    none otherwise.
-    """
-    powers, logs = _UNIT_GROUPS[n]
-    roots = []
-    for ra in range(1, cap_b + 1):
-        choices = []  # per factor, the generator powers that solve it
-        for p, y in zip(powers, logs[M]):
-            g = gcd(ra, len(p))
-            if y % g:
-                break
-            step = len(p) // g
-            choices.append(p[y // g * pow(ra // g, -1, step) % step::step])
-        else:
-            roots.extend((prod(units) % n, ra) for units in product(*choices))
-    roots.sort()
-    return roots
+    (m, ra) order: m's powers repeat every order steps, so m^ra = M exactly
+    when ra = e (mod order)."""
+    return [(m, ra) for m, e, order in _power_roots(n)[M] for ra in range(e, cap_b + 1, order)]
 
 
 # Per alphabet size, the symbols coded as letters, a run of 26 in letter
@@ -376,7 +352,7 @@ def _best_shift(codes_b: bytes, n: int, candidates, scorer, min_score, builtin=e
     histogram.  They give its coverage bound top / size on its score.
     Shifts are visited by descending bound until the bound falls below the
     score to reach (the best so far, or min_score), and scored from their
-    counts with that score as the floor, as in _english_score.  Only the
+    counts by _score_counts with that score as the floor.  Only the
     winner's text is built.  Any other scorer, or an empty lane, gets every
     candidate text in candidate order.
     """

@@ -19,7 +19,7 @@ count.  The counts are bounded by the shifts themselves: ra <= b, rc <= k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 
 from .errors import InvalidArgument, InvalidKey, IterationBoundExceeded, NoInverse, NonLetterOutput
@@ -94,6 +94,10 @@ class CipherParams:
     rc: int
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(value) is not int:
+                raise InvalidKey(f"{field.name} must be an int, got {value!r}")
         if self.n not in (26, 256):
             raise InvalidKey(f"n must be 26 or 256, got {self.n}")
         if not 1 <= self.m < self.n:

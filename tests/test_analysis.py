@@ -17,8 +17,8 @@ from paddycrypt.analysis import (
     attack_csv,
     avalanche,
     avalanche_csv,
-    _english_score,
     _roots,
+    _score_counts,
     brute_force,
     caesar_lane_attack,
     chi_squared_english,
@@ -123,9 +123,13 @@ def test_scorers_match_reference_bit_for_bit(data):
 @given(scorer_inputs, st.one_of(st.floats(0, 1), scorer_inputs.map(english_score)))
 def test_floored_english_score_is_exact_at_or_above_the_floor(data, floor):
     exact = reference_english_score(data)
+    letters = [byte | 0x20 for byte in data if 65 <= byte <= 90 or 97 <= byte <= 122]
+    counted = Counter(letters)
+    counts = [counted[ord(ch)] for ch in ENGLISH_LETTER_FREQ]
+    letterish = len(letters) + data.count(32)
     # The drawn floor, and floors at the score itself and one ulp either side.
     for f in (floor, exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf)):
-        score = _english_score(data, f)
+        score = _score_counts(len(data), letterish, counts, f)
         if exact >= f:
             assert repr(score) == repr(exact)
         else:
@@ -423,6 +427,15 @@ def test_brute_force_matches_join_oracle_at_full_caps(mode, message, key, cap):
     outcome = attack_outcome(brute_force, ct, english_score, mode, cap, cap)
     assert outcome == attack_outcome(join_oracle, ct, english_score, mode, cap, cap)
     assert outcome[1] == message
+
+
+def test_brute_force_matches_join_oracle_on_a_constant_message_at_full_caps():
+    # Every unit M fits a constant message's lanes, so every row of the
+    # roots table is read.  The plaintext is not asserted: english_score
+    # ranks eee... above aaa...
+    ct = encrypt(b"a" * 34, CipherParams(256, 147, 201, 177, 98, 153))
+    outcome = attack_outcome(brute_force, ct, english_score, "byte", 255, 255)
+    assert outcome == attack_outcome(join_oracle, ct, english_score, "byte", 255, 255)
 
 
 def test_brute_force_memory_is_bounded_by_n_times_message():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paddycrypt.analysis import _check_caps, brute_force, frequency_profile
+from paddycrypt.analysis import _check_caps, brute_force, frequency_profile, keyspace_size
 from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
 from paddycrypt.ciphers import LANE_AFFINE, alphabet_size, iterate_encrypt, lane_table, mod_inverse
 from paddycrypt.cli import main
-from paddycrypt.errors import CipherError, InvalidArgument
+from paddycrypt.errors import CipherError, InvalidArgument, InvalidKey
 from paddycrypt.pipeline import (
     KEY_FIELDS,
     CipherParams,
@@ -49,15 +49,32 @@ KEYS = (
     (lambda: encrypt(5, KEYS[0]), "plaintext values must be bytes in [0, 256)"),
     (lambda: frequency_profile([1.5], 4), "values must be ints in [0, 4)"),
     (lambda: frequency_profile(["a"], 4), "values must be ints in [0, 4)"),
+    (lambda: keyspace_size(27, 1, 1), "n must be 26 or 256, got 27"),
+    (lambda: keyspace_size(256, 300, 300), "cap_b must be in [1, 256), got 300"),
+    (lambda: keyspace_size(256.0, 1, 1), "n must be 26 or 256, got 256.0"),
+    (lambda: keyspace_size(256, 1, 1.5), "cap_k must be in [1, 256), got 1.5"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "_check_caps", "brute_force",
         "alphabet_size", "mod_inverse", "lane_table", "iterate_encrypt", "format_ciphertext",
         "encrypt-256", "encrypt-float", "encrypt-str", "encrypt-None", "encrypt-int",
-        "frequency_profile-float", "frequency_profile-str"])
+        "frequency_profile-float", "frequency_profile-str", "keyspace_size-n",
+        "keyspace_size-caps", "keyspace_size-float-n", "keyspace_size-float-cap"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
         call()
     assert isinstance(err.value, CipherError)
     assert isinstance(err.value, ValueError)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fields,message", [
+    ((256, 77, 9.5, 13, 4, 7), "b must be an int, got 9.5"),
+    ((256, 77, 9, 13, 4.0, 7), "ra must be an int, got 4.0"),
+    ((256, 1.0, 9, 13, 4, 7), "m must be an int, got 1.0"),
+    (("256", 77, 9, 13, 4, 7), "n must be an int, got '256'"),
+], ids=["float-b", "float-ra", "float-m", "str-n"])
+def test_key_fields_that_are_not_ints_raise_invalid_key(fields, message):
+    with pytest.raises(InvalidKey) as err:
+        CipherParams(*fields)
     assert str(err.value) == message
 
 
