@@ -28,7 +28,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, groupby, repeat
 from math import gcd
 from operator import add, sub
 from string import ascii_lowercase, ascii_uppercase
@@ -157,10 +157,16 @@ def frequency_profile(data, n: int = 256) -> list[float]:
     else:
         counts = [0] * n
         try:
-            for v in data:
+            # Bytes hold only ints, so each distinct one is checked once, in
+            # first-seen order, with its count; other values one by one.
+            if isinstance(data, (bytes, bytearray)):
+                tally = Counter(data).items()
+            else:
+                tally = zip(data, repeat(1))
+            for v, c in tally:
                 if not 0 <= v < n:
                     raise CipherError(f"value {v} outside [0, {n})")
-                counts[v] += 1
+                counts[v] += c
         except TypeError:
             raise InvalidArgument(f"values must be ints in [0, {n})") from None
     total = sum(counts)
@@ -200,8 +206,12 @@ def keyspace_size(n: int, cap_b: int, cap_k: int) -> int:
     if type(n) is not int or n not in LANE_CODES:
         raise InvalidArgument(f"n must be 26 or 256, got {n!r}")
     _check_caps(n, cap_b, cap_k)
-    units = sum(1 for m in range(1, n) if gcd(m, n) == 1)
-    return units * (cap_b * (cap_b + 1) // 2) * (cap_k * (cap_k + 1) // 2)
+    return _unit_count(n) * (cap_b * (cap_b + 1) // 2) * (cap_k * (cap_k + 1) // 2)
+
+
+@functools.cache  # counted at the first call, not at import
+def _unit_count(n: int) -> int:
+    return sum(1 for m in range(1, n) if gcd(m, n) == 1)
 
 
 def is_degenerate_key(key: CipherParams) -> bool:

@@ -26,12 +26,21 @@ use the closed form on eight row integers.  The 8 bytes A[i], rev(B[i]),
 block whose column c holds the 4 pairs of column c.  Row r of every block is
 one strided slice of a lane: row 2q is A[q::4] and row 2q+1 is rev(B)[q::4],
 read as one big-endian integer, so byte j of row r is row r of block j.
-Three delta swaps on whole rows transpose every block at once, after which
-row c holds column c's pairs in block order, which is stream order; odd
-columns are harvested upwards, so their bits are reversed.  A column is 2N
-bits, so when N is not a multiple of 4 the lanes get leading zero symbols
-that align each column to whole bytes, and the columns, less their padding
-bits, are stitched into the stream as one integer.  pack_cells and
+Three delta swaps on whole rows (12 row pairs) transpose every block at
+once, after which row c holds column c's pairs in block order, which is
+stream order; odd columns are harvested upwards, so their bits are
+reversed.  A column is 2N bits, so when N is not a multiple of 4 the lanes
+get leading zero symbols that align each column to whole bytes, and the
+columns, less their padding bits, are stitched into the stream as one
+integer.
+
+Both lanes are byte maps of one plaintext P, A = table_a[P] and B =
+table_b[P], and the first swap (d = 1) only exchanges bits between A[i] and
+rev(B[i]), so interleave folds the lane maps, rev and that swap into two
+256-byte tables of P: its rows are the plaintext's four strided slices
+P[q::4] through them, and only the d = 2 and d = 4 swaps (8 row pairs) are
+left.  deinterleave runs all three swaps and maps each row through the
+(inverse) lane tables before the lanes are assembled.  pack_cells and
 unpack_cells convert between the packed stream and one 0/1 cell per bit.
 
 place, harvest and build_permutation do the same cell by cell; they are
@@ -233,22 +242,29 @@ def unpack_cells(packed: bytes) -> bytes:
     return bytes(cells)
 
 
-def _transpose(rows: list[int], width: int) -> None:
+def _swap(rows: list[int], r: int, d: int, mask: int) -> None:
+    """Delta swap: exchange the bits of rows[r] under mask >> d with the
+    bits of rows[r + d] under mask."""
+    t = (rows[r + d] ^ rows[r] << d) & mask
+    rows[r + d] ^= t
+    rows[r] ^= t >> d
+
+
+def _transpose(rows: list[int], width: int, swaps=_SWAPS) -> None:
     """Transpose, in place, the 8x8 bit blocks that eight row ints hold.
 
     Byte j of rows[r] (big-endian, width bytes) is row r of block j; after
     the call byte j of rows[c] is column c of block j, first row most
     significant.  The three delta swaps of Hacker's Delight's transpose8
     run on whole rows: swap d exchanges the off-diagonal d x d sub-blocks
-    of rows r and r + d in every block at once.
+    of rows r and r + d in every block at once.  The swaps commute, so
+    swaps=_SWAPS[1:] finishes blocks whose d = 1 swap is already done.
     """
-    ones = ((1 << 8 * width) - 1) // 255  # 0x01 in every byte
-    for d, pattern, tops in _SWAPS:
+    ones = int.from_bytes(b"\x01" * width, "big")
+    for d, pattern, tops in swaps:
         mask = pattern * ones
         for r in tops:
-            t = (rows[r + d] ^ rows[r] << d) & mask
-            rows[r + d] ^= t
-            rows[r] ^= t >> d
+            _swap(rows, r, d, mask)
 
 
 def _flip(row: int, width: int) -> bytes:
@@ -256,20 +272,32 @@ def _flip(row: int, width: int) -> bytes:
     return row.to_bytes(width, "little").translate(_REVERSE)
 
 
-def interleave(codes_a: bytes, codes_b: bytes) -> bytes:
-    """Packed ciphertext of the lane bytes: harvest of place, 8 bits a byte."""
-    n = len(codes_a)
-    if len(codes_b) != n:
-        raise LengthMismatch(f"lanes differ: {n} vs {len(codes_b)} bytes")
+def _check_table(table: bytes) -> None:
+    if len(table) != 256:
+        raise InvalidArgument(f"lane table must have 256 bytes, got {len(table)}")
+
+
+def interleave(data: bytes, table_a: bytes, table_b: bytes) -> bytes:
+    """Packed ciphertext of the lanes data.translate(table_a) and
+    data.translate(table_b): harvest of place, 8 bits a byte."""
+    _check_table(table_a)
+    _check_table(table_b)
+    # A plaintext byte p's two block rows are table_a[p] and rev(table_b[p]);
+    # their d = 1 swap, done on the tables, leaves both rows byte maps of p.
+    pair = [int.from_bytes(table_a, "big"), int.from_bytes(table_b.translate(_REVERSE), "big")]
+    _swap(pair, 0, 1, int.from_bytes(b"\xaa" * 256, "big"))
+    table_a, table_b = (row.to_bytes(256, "big") for row in pair)
+    n = len(data)
     pad = -n % 4
     width = (n + pad) // 4
-    lane_a = bytes(pad) + codes_a
-    lane_b = (bytes(pad) + codes_b).translate(_REVERSE)
     rows = []
+    # Row q of the padded lanes starts at symbol q - pad; a leading zero
+    # symbol of padding is a leading zero byte, which the int drops.
     for q in range(4):
-        rows += int.from_bytes(lane_a[q::4], "big"), int.from_bytes(lane_b[q::4], "big")
-    del lane_a, lane_b
-    _transpose(rows, width)
+        part = data[(q - pad) % 4::4]
+        rows += (int.from_bytes(part.translate(table_a), "big"),
+                 int.from_bytes(part.translate(table_b), "big"))
+    _transpose(rows, width, _SWAPS[1:])
     # Row c holds column c's 2(N + pad) bits in stream order, padding first;
     # odd columns are harvested upwards, which reverses them, padding last.
     if not pad:
@@ -284,31 +312,42 @@ def interleave(codes_a: bytes, codes_b: bytes) -> bytes:
     return stream.to_bytes(2 * n, "big")
 
 
-def deinterleave(packed: bytes) -> tuple[bytes, bytes]:
-    """Inverse of interleave: packed ciphertext -> (affine, caesar) lane bytes."""
+def deinterleave(packed: bytes, table_a: bytes | None = None,
+                 table_b: bytes | None = None) -> tuple[bytes, bytes]:
+    """Inverse of interleave: packed ciphertext -> (affine, caesar) lanes,
+    mapped through table_a and table_b (the raw lanes without tables)."""
     if len(packed) % 2:
         raise BadLength(f"ciphertext bit count {8 * len(packed)} is not a multiple of 16")
+    for table in (table_a, table_b):
+        if table is not None:
+            _check_table(table)
+    table_b = _REVERSE if table_b is None else _REVERSE.translate(table_b)
     n = len(packed) // 2
     pad = -n % 4
     width = (n + pad) // 4
-    mask = (1 << 2 * n) - 1
     rows = []
     # Column col and the odd one after it are stream bits [start, mid) and
     # [mid, end).  Read backwards, the odd one is back in pair order,
     # and in both the padding bits lead again, as the row's high zero bits.
+    # Without padding both are whole byte slices.
+    mask = (1 << 2 * n) - 1 if pad else None
     for col in range(0, COLS, 2):
         start, mid, end = 2 * n * col, 2 * n * (col + 1), 2 * n * (col + 2)
-        rows.append(int.from_bytes(packed[start // 8:(mid + 7) // 8], "big") >> -mid % 8 & mask)
-        rows.append(int.from_bytes(packed[mid // 8:(end + 7) // 8].translate(_REVERSE), "little")
-                    >> mid % 8 & mask)
+        even = int.from_bytes(packed[start // 8:(mid + 7) // 8], "big")
+        odd = int.from_bytes(packed[mid // 8:(end + 7) // 8].translate(_REVERSE), "little")
+        if pad:
+            even, odd = even >> -mid % 8 & mask, odd >> mid % 8 & mask
+        rows += even, odd
     _transpose(rows, width)
-    lane_a = bytearray(4 * width)
-    lane_b = bytearray(4 * width)
+    lane_a = bytearray(n)
+    lane_b = bytearray(n)
     for q in range(4):
-        lane_a[q::4] = rows[2 * q].to_bytes(width, "big")
-        lane_b[q::4] = rows[2 * q + 1].to_bytes(width, "big")
-    del rows, lane_a[:pad], lane_b[:pad]
-    return bytes(lane_a), bytes(lane_b).translate(_REVERSE)
+        # Row q < pad leads with a padding symbol, a zero byte.
+        size = width - (q < pad)
+        lane_a[(q - pad) % 4::4] = rows[2 * q].to_bytes(size, "big").translate(table_a)
+        lane_b[(q - pad) % 4::4] = rows[2 * q + 1].to_bytes(size, "big").translate(table_b)
+    del rows
+    return bytes(lane_a), bytes(lane_b)
 
 
 def unharvest(bits) -> tuple[list, list]:

@@ -167,6 +167,8 @@ def iterated_affine(m: int, b: int, r: int, n: int) -> tuple[int, int]:
 
 def check_lane_codes(codes: bytes, n: int) -> None:
     """Raise NonLetterOutput unless every byte is a lane code of alphabet n."""
+    if n == 256:  # every byte is a code
+        return
     bad = codes.translate(None, LANE_CODES[n])
     if bad:
         raise NonLetterOutput(f"lane byte {bad[0]:#04x} is outside A-Z")

@@ -158,8 +158,8 @@ def encrypt(plaintext, key: CipherParams) -> CipherText:
     InvalidArgument, a CipherError.
     """
     data = _plaintext_codes(plaintext, key)
-    return CipherText.from_packed(interleave(data.translate(lane_table(key, LANE_AFFINE)),
-                                             data.translate(lane_table(key, LANE_CAESAR))))
+    return CipherText.from_packed(
+        interleave(data, lane_table(key, LANE_AFFINE), lane_table(key, LANE_CAESAR)))
 
 
 def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
@@ -169,11 +169,13 @@ def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
     corrupted bit or wrong key causes; its indices name the symbols whose
     lanes differ.
     """
-    codes_a, codes_b = deinterleave(ciphertext.packed)
-    check_lane_codes(codes_a, key.n)
-    check_lane_codes(codes_b, key.n)
-    plain_a = codes_a.translate(lane_table(key, LANE_AFFINE, decrypt=True))
-    plain_b = codes_b.translate(lane_table(key, LANE_CAESAR, decrypt=True))
+    plain_a, plain_b = deinterleave(ciphertext.packed,
+                                    lane_table(key, LANE_AFFINE, decrypt=True),
+                                    lane_table(key, LANE_CAESAR, decrypt=True))
+    # The lane tables fix every byte that is not a lane code, so the mapped
+    # lanes hold the same stray bytes where the lanes did.
+    check_lane_codes(plain_a, key.n)
+    check_lane_codes(plain_b, key.n)
     if plain_a != plain_b:
         indices = tuple(i for i, (x, y) in enumerate(zip(plain_a, plain_b)) if x != y)
         raise IntegrityMismatch(

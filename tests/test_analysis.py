@@ -155,10 +155,21 @@ class TestFrequencyProfile:
         ([-1], 4, "-1"),
         ([1.5], 4, r"ints in \[0, 4\)"),
         (["a"], 4, r"ints in \[0, 4\)"),
+        # The first bad value in data order is the one reported.
+        (b"\x01\x09\x07\x09", 6, "^value 9 outside"),
+        (bytearray(b"\x02\x08\x02"), 6, "^value 8 outside"),
+        ([5, [1]], 4, "^value 5 outside"),
+        ([[1], 5], 4, r"ints in \[0, 4\)"),
+        ([1, 1.0], 4, r"ints in \[0, 4\)"),
     ])
     def test_rejects_out_of_range_values(self, data, n, value):
         with pytest.raises(CipherError, match=value):
             frequency_profile(data, n=n)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, list, iter])
+    def test_counts_every_value(self, kind):
+        data = random.Random(8).randbytes(3000)
+        assert frequency_profile(kind(data)) == [data.count(v) / len(data) for v in range(256)]
 
     def test_ciphertext_bit_balance(self):
         # 625 random bytes -> 10000 ciphertext bits; 3-sigma binomial band

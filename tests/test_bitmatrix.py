@@ -21,8 +21,17 @@ from paddycrypt.bitmatrix import (
     unharvest,
     unpack_cells,
 )
-from paddycrypt.errors import BadLength, LengthMismatch, ParseError
-from paddycrypt.pipeline import CipherText
+from paddycrypt.ciphers import LANE_AFFINE, LANE_CAESAR, LANE_CODES, lane_table
+from paddycrypt.errors import (
+    BadLength,
+    CipherError,
+    IntegrityMismatch,
+    InvalidArgument,
+    LengthMismatch,
+    NonLetterOutput,
+    ParseError,
+)
+from paddycrypt.pipeline import CipherText, decrypt, encrypt, keygen
 
 
 def naive_interleave(lane_a, lane_b):
@@ -57,6 +66,29 @@ def permutation_deinterleave(packed):
     half = 4 * len(packed)
     cells = build_permutation(len(packed) // 2).invert(unpack_cells(packed))
     return pack_cells(cells[:half]), pack_cells(cells[half:])
+
+
+def lanes_as_tables(lane_a, lane_b):
+    """interleave's arguments for a pair of lanes of up to 256 bytes: the
+    plaintext bytes(range(N)) through tables that start with the lanes."""
+    n_sym = len(lane_a)
+    return bytes(range(n_sym)), lane_a + bytes(256 - n_sym), lane_b + bytes(256 - n_sym)
+
+
+def random_codes(rng, mode, n_sym):
+    return rng.randbytes(n_sym) if mode == "byte" else bytes(rng.choices(LANE_CODES[26], k=n_sym))
+
+
+def random_tables(rng, mode):
+    """Two random lane tables of the mode: permutations of its codes that
+    fix every other byte."""
+    codes = LANE_CODES[256 if mode == "byte" else 26]
+    return tuple(bytes.maketrans(codes, bytes(rng.sample(codes, len(codes)))) for _ in range(2))
+
+
+def inverse_table(table):
+    codes = bytes(range(256))
+    return bytes.maketrans(codes.translate(table), codes)
 
 
 class TestBitConversion:
@@ -261,36 +293,59 @@ class TestUnharvest:
         with pytest.raises(BadLength):
             deinterleave(bytes(3))
 
-    def test_interleave_rejects_lanes_of_different_lengths(self):
-        for a, b in ((b"ab", b"abc"), (b"abcde", b"abcd")):
-            with pytest.raises(LengthMismatch):
-                interleave(a, b)
+    @pytest.mark.parametrize("call", [
+        lambda: interleave(b"ab", bytes(255), bytes(256)),
+        lambda: interleave(b"ab", bytes(256), bytes(257)),
+        lambda: deinterleave(bytes(4), bytes(10), bytes(256)),
+        lambda: deinterleave(bytes(4), bytes(256), b""),
+    ], ids=["interleave-a", "interleave-b", "deinterleave-a", "deinterleave-b"])
+    def test_tables_must_have_256_bytes(self, call):
+        with pytest.raises(InvalidArgument, match="^lane table must have 256 bytes, got"):
+            call()
 
     def test_deinterleave_inverts_interleave(self):
         rng = random.Random(21)
-        for n_sym in list(range(65)) + [4096]:
+        for n_sym in list(range(65)) + [256]:
             a = rng.randbytes(n_sym)
             b = rng.randbytes(n_sym)
-            assert deinterleave(interleave(a, b)) == (a, b)
+            assert deinterleave(interleave(*lanes_as_tables(a, b))) == (a, b)
 
     # Every N up to 70 reaches each residue mod 4 (the padding) with up to
     # 18 blocks; 4093-4097 reach each again with about 1024 blocks a row.
     @pytest.mark.parametrize("n_sym", list(range(71)) + list(range(4093, 4098)))
-    def test_interleave_matches_the_permutation(self, n_sym):
+    @pytest.mark.parametrize("mode", ["byte", "letters"])
+    def test_interleave_matches_the_permutation(self, mode, n_sym):
         rng = random.Random(n_sym)
-        a, b = rng.randbytes(n_sym), rng.randbytes(n_sym)
-        packed = interleave(a, b)
-        assert packed == permutation_interleave(a, b)
-        assert deinterleave(packed) == (a, b)
+        data = random_codes(rng, mode, n_sym)
+        table_a, table_b = random_tables(rng, mode)
+        packed = interleave(data, table_a, table_b)
+        lanes = data.translate(table_a), data.translate(table_b)
+        assert packed == permutation_interleave(*lanes)
+        assert deinterleave(packed) == lanes
+        assert deinterleave(packed, *map(inverse_table, (table_a, table_b))) == (data, data)
         other = rng.randbytes(2 * n_sym)
-        assert deinterleave(other) == permutation_deinterleave(other)
+        expected = permutation_deinterleave(other)
+        assert deinterleave(other) == expected
+        assert deinterleave(other, table_a, table_b) == (
+            expected[0].translate(table_a), expected[1].translate(table_b))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.binary(max_size=200).flatmap(
+    @given(st.binary(max_size=200), st.binary(min_size=256, max_size=256),
+           st.binary(min_size=256, max_size=256))
+    def test_tables_property(self, data, table_a, table_b):
+        lanes = data.translate(table_a), data.translate(table_b)
+        packed = interleave(data, table_a, table_b)
+        assert packed == permutation_interleave(*lanes)
+        assert deinterleave(packed) == lanes
+        assert deinterleave(packed, table_a, table_b) == (
+            lanes[0].translate(table_a), lanes[1].translate(table_b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=256).flatmap(
         lambda a: st.tuples(st.just(a), st.binary(min_size=len(a), max_size=len(a)))))
     def test_interleave_round_trip_property(self, lanes):
         a, b = lanes
-        packed = interleave(a, b)
+        packed = interleave(*lanes_as_tables(a, b))
         assert packed == permutation_interleave(a, b)
         assert deinterleave(packed) == (a, b)
 
@@ -303,3 +358,49 @@ class TestUnharvest:
         b = data.draw(bits)
         got_a, got_b = unharvest(harvest(place(a, b)))
         assert (got_a, got_b) == (a, b)
+
+
+def permutation_decrypt(ciphertext, key):
+    """Oracle for decrypt's outcome: the raw lanes of permutation_deinterleave
+    checked (lane a first), mapped through the inverse lane tables and
+    compared.  Returns (error type or None, plaintext or message, indices)."""
+    lanes = permutation_deinterleave(ciphertext.packed)
+    for lane in lanes:
+        bad = lane.translate(None, LANE_CODES[key.n])
+        if bad:
+            return NonLetterOutput, f"lane byte {bad[0]:#04x} is outside A-Z", None
+    plain_a, plain_b = (lane.translate(lane_table(key, name, decrypt=True))
+                        for lane, name in zip(lanes, (LANE_AFFINE, LANE_CAESAR)))
+    indices = tuple(i for i, (x, y) in enumerate(zip(plain_a, plain_b)) if x != y)
+    if not indices:
+        return None, plain_a, None
+    return IntegrityMismatch, (
+        "affine and caesar lanes disagree (corrupt data or wrong key) at "
+        f"{len(indices)} of {len(plain_a)} symbols, first index {indices[0]}"), indices
+
+
+def decrypt_outcome(ciphertext, key):
+    try:
+        return None, decrypt(ciphertext, key), None
+    except CipherError as err:
+        return type(err), str(err), getattr(err, "indices", None)
+
+
+@pytest.mark.parametrize("mode", ["byte", "letters"])
+def test_decrypt_outcomes_match_the_permutation(mode):
+    rng = random.Random(mode)
+    key = keygen(mode, seed=3)
+    for n_sym in list(range(1, 40)) + [257]:
+        ciphertext = encrypt(random_codes(rng, mode, n_sym), key)
+        perm = build_permutation(n_sym)
+        lane_b = [perm.forward[i] for i in range(8 * n_sym, 16 * n_sym)]
+        # Any bits, then bits of lane b alone, so its check is reached.
+        for positions in ([rng.randrange(16 * n_sym) for _ in range(rng.randrange(1, 5))],
+                          rng.sample(lane_b, min(3, n_sym)), []):
+            raw = bytearray(ciphertext.packed)
+            for position in positions:
+                raw[position // 8] ^= 0x80 >> position % 8
+            corrupted = CipherText.from_packed(raw)
+            assert decrypt_outcome(corrupted, key) == permutation_decrypt(corrupted, key)
+        garbage = CipherText.from_packed(rng.randbytes(2 * n_sym))
+        assert decrypt_outcome(garbage, key) == permutation_decrypt(garbage, key)

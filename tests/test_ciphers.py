@@ -16,13 +16,14 @@ from paddycrypt.ciphers import (
     affine_table,
     caesar_decrypt_symbol,
     caesar_encrypt_symbol,
+    check_lane_codes,
     iterate_decrypt,
     iterate_encrypt,
     iterated_affine,
     lane_table,
     mod_inverse,
 )
-from paddycrypt.errors import InvalidKey, IterationBoundExceeded, NoInverse
+from paddycrypt.errors import InvalidKey, IterationBoundExceeded, NoInverse, NonLetterOutput
 from paddycrypt.pipeline import decrypt, encrypt
 
 
@@ -412,3 +413,10 @@ def test_iterate_round_trip_property(n, lane):
         assert iterate_decrypt(iterate_encrypt(stream, key, lane), key, lane) == stream
 
     run()
+
+
+def test_check_lane_codes():
+    check_lane_codes(bytes(range(256)), 256)
+    check_lane_codes(LANE_CODES[26] * 2, 26)
+    with pytest.raises(NonLetterOutput, match="^lane byte 0x61 is outside A-Z$"):
+        check_lane_codes(b"ABaZ\x00", 26)
