@@ -3,11 +3,11 @@
 The scheme's redundancy is also its weakness.  Both lanes encrypt the
 same plaintext, so under any key whose lanes agree, lane_a = M*lane_b + C
 (mod n) with M = m^ra.  Lane agreement therefore leaves at most one
-candidate text per effective caesar shift, up to n texts (about 34 per
-benchmark crack), and the plaintext scorer alone picks among them.  The
-caesar lane is weaker still, because r iterated shifts collapse to the
-single effective shift (r*k) mod n; half the ciphertext therefore falls to
-at most n trials no matter how the iteration counts were chosen.
+candidate text per effective caesar shift, at most n texts, and the
+plaintext scorer alone picks among them.  The caesar lane is weaker still,
+because r iterated shifts collapse to the single effective shift (r*k) mod
+n; half the ciphertext therefore falls to at most n trials no matter how
+the iteration counts were chosen.
 
 Attack scorers are plain callables bytes -> float (higher is better);
 printable_ratio and english_score are the built-ins.  A scorer must be
@@ -28,7 +28,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import add, sub
 from string import ascii_lowercase, ascii_uppercase
@@ -239,85 +239,85 @@ def brute_force(
     rather than by walking the grid.
 
     The caesar lane is p + s with s = k*rc mod n, and the affine lane is
-    M*p + B with M = m^ra and B = b*(1 + m + ... + m^(ra-1)), so a key's
-    lanes agree exactly when lane_a = M*lane_b + C with C = B - M*s.  The
-    units M that fit the lanes (usually one) fix C.  The roots (m, ra) of
-    m^ra = M come from one table per alphabet, built at the first attack,
-    of each unit's power cycle.  Each reachable shift s then agrees through
-    B = C + M*s, which a table of the smallest (m, b, ra) per B answers,
-    and gives one text, lane_b - s.  The agreeing shifts are scored as in
-    caesar_lane_attack: with english_score, from one histogram of lane_b,
-    so only texts that can win are scored and only the winner's is built;
-    any other scorer gets each agreeing text once.  The best score wins,
-    ties broken by the smallest (m, b, k, ra, rc).  candidates_tried is
-    still the whole grid, keyspace_size(n, cap_b, cap_k).  Raises NotFound
-    when no key's lanes agree (above min_score).
+    M*p + B with M = m^ra and B = b*T, T = 1 + m + ... + m^(ra-1), so a
+    key's lanes agree exactly when lane_a = M*lane_b + C with C = B - M*s.
+    The units M that fit the lanes (usually one) fix C.  One byte row per k
+    holds the shifts k*rc, and one row per root (m, ra) of each M the
+    values b*T, b = ra..cap_b, which give the shifts s = (B - C)/M.  A
+    shift in rows of both kinds agrees and gives one text, lane_b - s,
+    scored as in caesar_lane_attack; the smallest (m, b, k, ra, rc) at a
+    shift, which breaks ties, is read from the rows only for a shift that
+    can win.  candidates_tried is still the whole grid, keyspace_size(n,
+    cap_b, cap_k).  Raises NotFound when no key's lanes agree (above
+    min_score).
     """
     n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
 
     codes_a, codes_b = deinterleave(ciphertext.packed)
-    check_lane_codes(codes_a + codes_b, n)
+    check_lane_codes(codes_a, n)
+    check_lane_codes(codes_b, n)
+    codes = LANE_CODES[n]
 
-    # Each shift s with its first (k, rc) in walk order, until every shift
-    # has one: keys that share s share a text, and only the first can win
-    # the tie-break.
-    shifts = {}
+    # Row k holds the codes of the shifts k*rc, rc = 1..k, up to full reach.
+    k_rows, reachable = [], set()
     for k in range(1, cap_k + 1):
-        for rc in range(1, k + 1):
-            shifts.setdefault(k * rc % n, (k, rc))
-        if len(shifts) == n:
+        k_rows.append(codes[1:k + 1].translate(_times(n, k)))
+        reachable.update(k_rows[-1])
+        if len(reachable) == n:
             break
 
     if codes_b:
         fits = _lane_fits(codes_a, codes_b, n)
-    else:
-        # Every key agrees on the empty text; only the smallest can win.
-        fits, shifts = [(1, 0)], {1: (1, 1)}
+    else:  # every key agrees on the empty text; the smallest, at shift 1, wins
+        fits, reachable = [(1, 0)], {codes[1]}
 
-    # For each fitting M, B -> the smallest (m, b, ra) with
-    # iterated_affine(m, b, ra, n) = (M, B), filled in walk order (m, b, ra)
-    # until every B has one.
-    tables = {}
-    for M, _ in fits:
-        table = tables[M] = {}
-        for m, roots in groupby(_roots(M, n, cap_b), key=lambda root: root[0]):
-            # (ra, B at b = 1): B at b is b times it.
-            totals = [(ra, iterated_affine(m, 1, ra, n)[1]) for _, ra in roots]
-            for b in range(1, cap_b + 1):
-                for ra, total in totals:
-                    if ra > b:
-                        break
-                    table.setdefault(b * total % n, (m, b, ra))
-            if len(table) == n:
+    @functools.cache  # root (m, ra) -> the codes of B = b*T, b = ra..cap_b
+    def b_row(m, ra):
+        return codes[ra:cap_b + 1].translate(_times(n, iterated_affine(m, 1, ra, n)[1]))
+
+    # Shift s agrees through B = C + M*s, so s = M^-1*(B - C).
+    agreeing = set()
+    for M, C in fits:
+        if len(agreeing) == n:
+            break
+        inverse = pow(M, -1, n)
+        to_shift = affine_table(n, inverse, -inverse * C % n)
+        for m, ra in _roots(M, n, cap_b):
+            agreeing.update(b_row(m, ra).translate(to_shift))
+            if len(agreeing) == n:
                 break
+    agreeing &= reachable
 
-    agreeing = []  # ((m, b, k, ra, rc), shift)
-    for s, (k, rc) in shifts.items():
-        hits = [hit for M, C in fits if (hit := tables[M].get((C + M * s) % n))]
-        if hits:
-            m, b, ra = min(hits)
-            agreeing.append(((m, b, k, ra, rc), s))
-    best = _best_shift(codes_b, n, agreeing, scorer, min_score)
+    def order_of(s):
+        """The smallest (m, b, k, ra, rc) whose lanes agree at shift s."""
+        code = codes[s]
+        k, rc = next((k, row.find(code) + 1) for k, row in enumerate(k_rows, 1) if code in row)
+        best = None  # the smallest (m, b, ra)
+        for M, C in fits:
+            target = codes[(C + M * s) % n]
+            for m, e, order in _power_roots(n)[M]:  # the roots of M, as in _roots
+                if best and m > best[0]:
+                    break
+                for ra in range(e, cap_b + 1, order):
+                    i = b_row(m, ra).find(target)
+                    if i >= 0 and (best is None or (m, ra + i, ra) < best):
+                        best = (m, ra + i, ra)
+        m, b, ra = best
+        return m, b, k, ra, rc
 
+    shifts = [code - codes[0] for code in agreeing]
+    best = _best_shift(codes_b, n, shifts, order_of, scorer, min_score)
     elapsed = time.perf_counter() - start
     if best is None:
         raise NotFound(
             f"no key with b<={cap_b}, k<={cap_k} produced agreeing lanes above the threshold"
         )
-    score, (m, b, k, ra, rc), text = best
-    key = CipherParams(n=n, m=m, b=b, k=k, ra=ra, rc=rc)
+    score, order, text = best
     keyspace = keyspace_size(n, cap_b, cap_k)
-    return AttackResult(
-        method="brute-force",
-        recovered_key=key,
-        plaintext=text,
-        score=score,
-        candidates_tried=keyspace,
-        elapsed=elapsed,
-        keyspace=keyspace,
-    )
+    return AttackResult("brute-force", CipherParams(n, *order), text, score, keyspace, elapsed,
+                        keyspace)
 
 
 @functools.cache  # built at the first attack, not at import
@@ -350,27 +350,30 @@ _LETTER_RUNS = {256: (65, 97), 26: (0,)}
 _SPACES = {256: (32,), 26: ()}
 
 
-def _best_shift(codes_b: bytes, n: int, candidates, scorer, min_score, builtin=english_score):
-    """The best (score, order, text) among (order, shift) candidates, text
-    being lane_b - shift, that score at least min_score, ties going to the
-    smallest order; None if none does.
+def _best_shift(codes_b: bytes, n: int, shifts, order_of, scorer, min_score,
+                builtin=english_score):
+    """The best (score, order, text) among the shifts that score at least
+    min_score, text being lane_b - shift and order order_of(shift), ties
+    going to the smallest order; None if none does.  order_of is called
+    only for a shift that scores at least the best score so far.
 
     The built-in scorer (bound here at definition, so a wrapper rebound to
-    the module name is not it) scores from counts.  Lane_b is counted once,
-    and shift s's count of text symbol v is that histogram at v + s, so a
-    shift's letter and space counts are window sums of the doubled
-    histogram.  They give its coverage bound top / size on its score.
-    Shifts are visited by descending bound until the bound falls below the
-    score to reach (the best so far, or min_score), and scored from their
-    counts by _score_counts with that score as the floor.  Only the
-    winner's text is built.  Any other scorer, or an empty lane, gets every
-    candidate text in candidate order.
+    the module name is not it) scores from counts: shift s's count of text
+    symbol v is lane_b's histogram at v + s, so its letter and space counts
+    are window sums of the doubled histogram, and give its coverage bound
+    top / size on its score.  Shifts are visited by descending bound until
+    the bound falls below the score to reach (the best so far, or
+    min_score), and scored by _score_counts with that score as the floor.
+    Only the winner's text is built.  Any other scorer, or an empty lane,
+    gets every shift's text in the order given.
     """
     from_counts = scorer is builtin and bool(codes_b)
     if from_counts:
         size = len(codes_b)
-        counted = Counter(codes_b)
-        doubled = list(map(counted.get, LANE_CODES[n], [0] * n)) * 2
+        offset = LANE_CODES[n][0]
+        doubled = [0] * (2 * n)
+        for code, count in Counter(codes_b).items():
+            doubled[code - offset] = doubled[code - offset + n] = count
         # folded[s + i]: shift s's count of letter i, either case.
         first, *others = _LETTER_RUNS[n]
         folded = doubled[first:first + n + 25]
@@ -381,9 +384,9 @@ def _best_shift(codes_b: bytes, n: int, candidates, scorer, min_score, builtin=e
         letterish = list(map(sub, prefix[26:], prefix[:n]))
         for space in _SPACES[n]:
             letterish = list(map(add, letterish, doubled[space:]))
-        candidates = sorted(candidates, key=lambda c: letterish[c[1]], reverse=True)
+        shifts = sorted(shifts, key=letterish.__getitem__, reverse=True)
     best = None  # (score, order, shift)
-    for order, s in candidates:
+    for s in shifts:
         if from_counts:
             floor = min_score if best is None else best[0]
             if floor is not None and letterish[s] / size * size / size < floor:
@@ -393,12 +396,19 @@ def _best_shift(codes_b: bytes, n: int, candidates, scorer, min_score, builtin=e
             score = scorer(codes_b.translate(affine_table(n, 1, -s % n)))
         if min_score is not None and score < min_score:
             continue
-        if best is None or score > best[0] or (score == best[0] and order < best[1]):
-            best = (score, order, s)
+        if best is None or score >= best[0]:
+            order = order_of(s)
+            if best is None or score > best[0] or order < best[1]:
+                best = (score, order, s)
     if best is None:
         return None
     score, order, s = best
     return score, order, codes_b.translate(affine_table(n, 1, -s % n))
+
+
+@functools.cache  # one per (n, t), built on first use
+def _times(n: int, t: int) -> bytes:  # lane map s -> t*s (mod n), 0 <= t < n
+    return affine_table(n, t, 0) if t else bytes.maketrans(LANE_CODES[n], LANE_CODES[n][:1] * n)
 
 
 def _lane_fits(codes_a: bytes, codes_b: bytes, n: int) -> list[tuple[int, int]]:
@@ -406,11 +416,17 @@ def _lane_fits(codes_a: bytes, codes_b: bytes, n: int) -> list[tuple[int, int]]:
     symbol; the lanes are non-empty lane codes of alphabet n."""
     b0, a0 = codes_b[0], codes_a[0]
     # Every pair (b1, a1) needs M*(b1 - b0) = a1 - a0, which fixes M modulo
-    # n/gcd(b1 - b0, n); the smallest gcd leaves the fewest M to check.
-    # Lane codes are consecutive, so code differences are symbol ones.
-    b1, a1 = min(zip(codes_b, codes_a), key=lambda pair: gcd(pair[0] - b0, n))
-    d, e = (b1 - b0) % n, (a1 - a0) % n
-    g = gcd(d, n)
+    # n/gcd(b1 - b0, n); the first pair of smallest gcd leaves the fewest M
+    # to check.  The gcd is b1's alone: lane_b's distinct codes are read in
+    # first-seen order, down to gcd 1, and a1 at b1's first index.  Lane
+    # codes are consecutive, so code differences are symbol ones.
+    g = n + 1
+    for value in dict.fromkeys(codes_b):
+        if gcd(value - b0, n) < g:
+            g, b1 = gcd(value - b0, n), value
+            if g == 1:
+                break
+    d, e = (b1 - b0) % n, (codes_a[codes_b.index(b1)] - a0) % n
     if e % g:
         return []
     step = n // g
@@ -448,21 +464,14 @@ def caesar_lane_attack(
 
     _, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_b, n)
-    best = _best_shift(codes_b, n, [(s, s) for s in range(n)], scorer, min_score)
+    best = _best_shift(codes_b, n, range(n), int, scorer, min_score)
 
     elapsed = time.perf_counter() - start
     if best is None:
         raise NotFound(f"no shift scored above {min_score}")
     score, shift, text = best
-    return AttackResult(
-        method="caesar-lane-shortcut",
-        recovered_key=None,
-        plaintext=text,
-        score=score,
-        candidates_tried=n,
-        elapsed=elapsed,
-        effective_shift=shift,
-    )
+    return AttackResult("caesar-lane-shortcut", None, text, score, n, elapsed,
+                        effective_shift=shift)
 
 
 def avalanche(plaintext: bytes, key: CipherParams) -> list[DiffusionReport]:
@@ -501,19 +510,10 @@ def mean_fraction(reports) -> float:
 def attack_csv(result: AttackResult) -> str:
     """One-row CSV report of an attack outcome, for logging or plotting."""
     key = result.recovered_key
-    row = [
-        result.method,
-        key.m if key else "",
-        key.b if key else "",
-        key.k if key else "",
-        key.ra if key else "",
-        key.rc if key else "",
-        f"{result.score:.6f}",
-        result.candidates_tried,
-        result.keyspace if result.keyspace is not None else "",
-        f"{result.elapsed:.3f}",
-        result.effective_shift if result.effective_shift is not None else "",
-    ]
+    fields = (key.m, key.b, key.k, key.ra, key.rc) if key else ("",) * 5
+    row = [result.method, *fields, f"{result.score:.6f}", result.candidates_tried,
+           "" if result.keyspace is None else result.keyspace, f"{result.elapsed:.3f}",
+           "" if result.effective_shift is None else result.effective_shift]
     header = "method,m,b,k,ra,rc,score,candidates_tried,keyspace,elapsed_s,effective_shift"
     return header + "\n" + ",".join(str(x) for x in row) + "\n"
 

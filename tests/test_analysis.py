@@ -383,12 +383,13 @@ def test_join_oracle_matches_decrypt_oracle(mode, ct, scorer, cap_b, cap_k):
     assert (result.recovered_key, result.plaintext, result.score) == (key, text, score)
 
 
-def join_cases(count, seed):
+def join_cases(count, seed, byte_cap=8, key_cap=12):
     """Seeded brute_force inputs, (mode, ciphertext, cap_b, cap_k): both
     modes, unequal caps and caps below the key's b and k, keys with m = 1
     and m = n - 1, empty, one-symbol and constant messages, messages whose
     lane_b differences are all even (several units M fit the lanes), and
-    ciphertexts with one bit flipped."""
+    ciphertexts with one bit flipped.  Byte-mode caps go up to byte_cap and
+    key shifts up to key_cap (below n)."""
     rng = random.Random(seed)
     cases = []
     for i in range(count):
@@ -404,7 +405,7 @@ def join_cases(count, seed):
         else:
             message = bytes(rng.choice(codes) for _ in range(length))
         m = rng.choice([1, n - 1, rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])])
-        b, k = rng.randint(1, 12), rng.randint(1, 12)
+        b, k = rng.randint(1, min(key_cap, n - 1)), rng.randint(1, min(key_cap, n - 1))
         key = CipherParams(n, m, b, k, rng.randint(1, b), rng.randint(1, k))
         ct = encrypt(message, key)
         if ct.packed and rng.random() < 0.25:
@@ -412,14 +413,25 @@ def join_cases(count, seed):
             bit = rng.randrange(8 * len(packed))
             packed[bit // 8] ^= 0x80 >> bit % 8
             ct = CipherText.from_packed(bytes(packed))
-        cap_b = rng.randint(1, 8 if mode == "byte" else 25)
-        cap_k = rng.randint(1, 8 if mode == "byte" else 25)
+        cap_b = rng.randint(1, byte_cap if mode == "byte" else 25)
+        cap_k = rng.randint(1, byte_cap if mode == "byte" else 25)
         cases.append(pytest.param(mode, ct, cap_b, cap_k, id=f"{i}-{mode}-{len(message)}-{cap_b}-{cap_k}"))
     return cases
 
 
 @pytest.mark.parametrize("mode,ct,cap_b,cap_k", join_cases(200, seed=9))
 def test_brute_force_matches_join_oracle(mode, ct, cap_b, cap_k):
+    for scorer in (english_score, printable_ratio):
+        for min_score in (None, 0.5):
+            args = (ct, scorer, mode, cap_b, cap_k, min_score)
+            assert attack_outcome(brute_force, *args) == attack_outcome(join_oracle, *args)
+
+
+# Byte caps and key shifts up to 64: the rows of many roots and of many k,
+# and keys inside and outside the caps (in byte mode, constant, even and
+# random messages each have keys of both kinds).
+@pytest.mark.parametrize("mode,ct,cap_b,cap_k", join_cases(40, seed=18, byte_cap=64, key_cap=64))
+def test_brute_force_matches_join_oracle_at_wide_caps(mode, ct, cap_b, cap_k):
     for scorer in (english_score, printable_ratio):
         for min_score in (None, 0.5):
             args = (ct, scorer, mode, cap_b, cap_k, min_score)
@@ -447,6 +459,27 @@ def test_brute_force_matches_join_oracle_on_a_constant_message_at_full_caps():
     ct = encrypt(b"a" * 34, CipherParams(256, 147, 201, 177, 98, 153))
     outcome = attack_outcome(brute_force, ct, english_score, "byte", 255, 255)
     assert outcome == attack_outcome(join_oracle, ct, english_score, "byte", 255, 255)
+
+
+@pytest.mark.parametrize("message", [ATTACK_MESSAGE, b"a" * 34], ids=["readme", "constant"])
+def test_brute_force_scores_each_agreeing_text_once_at_full_caps(message):
+    # join_oracle scores each distinct agreeing text once; brute_force must
+    # score the same texts, each once.
+    ct = encrypt(message, CipherParams(256, 147, 201, 177, 98, 153))
+
+    def texts_scored(attack):
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return english_score(text)
+
+        attack(ct, counting, cap_b=255, cap_k=255)
+        return texts
+
+    scored = texts_scored(brute_force)
+    assert len(set(scored)) == len(scored)
+    assert sorted(scored) == sorted(texts_scored(join_oracle))
 
 
 def test_brute_force_memory_is_bounded_by_n_times_message():
