@@ -193,7 +193,7 @@ class AttackResult:
     effective_shift: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffusionReport:
     """Effect of flipping one plaintext bit on the whole ciphertext."""
 
@@ -350,24 +350,28 @@ _LETTER_RUNS = {256: (65, 97), 26: (0,)}
 _SPACES = {256: (32,), 26: ()}
 
 
-def _best_shift(codes_b: bytes, n: int, shifts, order_of, scorer, min_score,
-                builtin=english_score):
+# The built-in scorer, bound at import: a wrapper later rebound to the
+# module name english_score is not it, and gets every text.
+_ENGLISH_SCORE = english_score
+
+
+def _best_shift(codes_b: bytes, n: int, shifts, order_of, scorer, min_score):
     """The best (score, order, text) among the shifts that score at least
     min_score, text being lane_b - shift and order order_of(shift), ties
     going to the smallest order; None if none does.  order_of is called
     only for a shift that scores at least the best score so far.
 
-    The built-in scorer (bound here at definition, so a wrapper rebound to
-    the module name is not it) scores from counts: shift s's count of text
-    symbol v is lane_b's histogram at v + s, so its letter and space counts
-    are window sums of the doubled histogram, and give its coverage bound
-    top / size on its score.  Shifts are visited by descending bound until
+    The built-in scorer (_ENGLISH_SCORE, so a wrapper rebound to the module
+    name is not it) scores from counts: shift s's count of text symbol v is
+    lane_b's histogram at v + s, so its letter and space counts are window
+    sums of the doubled histogram, and give its coverage bound top / size
+    on its score.  Shifts are visited by descending bound until
     the bound falls below the score to reach (the best so far, or
     min_score), and scored by _score_counts with that score as the floor.
     Only the winner's text is built.  Any other scorer, or an empty lane,
     gets every shift's text in the order given.
     """
-    from_counts = scorer is builtin and bool(codes_b)
+    from_counts = scorer is _ENGLISH_SCORE and bool(codes_b)
     if from_counts:
         size = len(codes_b)
         offset = LANE_CODES[n][0]
@@ -415,13 +419,16 @@ def _lane_fits(codes_a: bytes, codes_b: bytes, n: int) -> list[tuple[int, int]]:
     """Every (M, C), M a unit, with lane_a = M*lane_b + C (mod n) symbol by
     symbol; the lanes are non-empty lane codes of alphabet n."""
     b0, a0 = codes_b[0], codes_a[0]
+    codes = LANE_CODES[n]
     # Every pair (b1, a1) needs M*(b1 - b0) = a1 - a0, which fixes M modulo
-    # n/gcd(b1 - b0, n); the first pair of smallest gcd leaves the fewest M
-    # to check.  The gcd is b1's alone: lane_b's distinct codes are read in
-    # first-seen order, down to gcd 1, and a1 at b1's first index.  Lane
-    # codes are consecutive, so code differences are symbol ones.
+    # n/gcd(b1 - b0, n); a pair of smallest gcd leaves the fewest M to
+    # check.  The gcd is b1's alone: lane_b's distinct codes (the lane
+    # codes less those absent from lane_b, two C-level deletes) are read in
+    # code order down to gcd 1, and a1 at b1's first index.  Every M left
+    # is checked on the whole lanes, so b1 sets only how many are tried.
+    # Lane codes are consecutive, so code differences are symbol ones.
     g = n + 1
-    for value in dict.fromkeys(codes_b):
+    for value in codes.translate(None, codes.translate(None, codes_b)):
         if gcd(value - b0, n) < g:
             g, b1 = gcd(value - b0, n), value
             if g == 1:
@@ -431,12 +438,11 @@ def _lane_fits(codes_a: bytes, codes_b: bytes, n: int) -> list[tuple[int, int]]:
         return []
     step = n // g
     first = e // g * pow(d // g, -1, step) % step
-    offset = LANE_CODES[n][0]
     fits = []
     for M in range(first, n, step):
         if gcd(M, n) != 1:
             continue
-        C = (a0 - offset - M * (b0 - offset)) % n
+        C = (a0 - codes[0] - M * (b0 - codes[0])) % n
         if codes_b.translate(affine_table(n, M, C)) == codes_a:
             fits.append((M, C))
     return fits

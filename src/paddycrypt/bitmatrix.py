@@ -197,7 +197,7 @@ class PermutationMap:
         )
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def build_permutation(n_symbols: int) -> PermutationMap:
     """Compose placement and harvest into one index bijection for N symbols.
 

@@ -133,19 +133,19 @@ def affine_table(n: int, m: int, b: int) -> bytes:
 
 
 def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
-    """The lane's step map applied ra (affine) or rc (caesar) times, as a
-    ``bytes.translate`` table over lane codes; decrypt=True inverts it."""
+    """The step s -> m*s + b (caesar: m = 1, b = k) applied ra (affine) or rc
+    (caesar) times, as a ``bytes.translate`` table; decrypt=True inverts it."""
     n = params.n
     if lane == LANE_AFFINE:
-        rounds, bound, name = params.ra, params.b, "ra"
-        # NoInverse for a non-unit m, whichever the direction.
-        inverse = mod_inverse(params.m, n)
-        m, b = (inverse, -inverse * params.b) if decrypt else (params.m, params.b)
+        m, b, rounds, bound, name = params.m, params.b, params.ra, params.b, "ra"
     elif lane == LANE_CAESAR:
-        rounds, bound, name = params.rc, params.k, "rc"
-        m, b = 1, -params.k if decrypt else params.k
+        m, b, rounds, bound, name = 1, params.k, params.rc, params.k, "rc"
     else:
         raise InvalidArgument(f"unknown lane {lane!r}")
+    # NoInverse for a non-unit m, whichever the direction.
+    inverse = mod_inverse(m, n)
+    if decrypt:
+        m, b = inverse, -inverse * b
     # Construction already enforces a unit m and these bounds; both are
     # re-checked so a tampered key object still fails here instead of
     # producing undecryptable output.

@@ -17,6 +17,7 @@ from paddycrypt.analysis import (
     attack_csv,
     avalanche,
     avalanche_csv,
+    _lane_fits,
     _roots,
     _score_counts,
     brute_force,
@@ -521,6 +522,48 @@ def test_roots_match_the_walk(n, caps):
         walked = walk_roots(n, cap_b)
         for M in units:
             assert _roots(M, n, cap_b) == walked.get(M, []), (M, cap_b)
+
+
+@st.composite
+def lane_pairs(draw):
+    """(lane_a, lane_b, n): non-empty random, English-like, constant and
+    two-symbol lanes of lane codes, lane_a mostly an affine image of lane_b
+    under a unit, else that image with one symbol changed, or random."""
+    n = draw(st.sampled_from([26, 256]))
+    codes = LANE_CODES[n]
+    symbols = st.integers(0, n - 1)
+    words = st.text(alphabet=string.ascii_lowercase + " ", min_size=1, max_size=60)
+    if n == 26:
+        words = words.filter(str.strip).map(lambda text: text.replace(" ", "").upper())
+    lane_b = draw(st.one_of(
+        st.lists(symbols, min_size=1, max_size=60).map(lambda s: bytes(codes[v] for v in s)),
+        words.map(str.encode),
+        st.builds(lambda v, length: codes[v:v + 1] * length, symbols, st.integers(1, 60)),
+        st.builds(lambda u, v, picks: bytes(codes[v if p else u] for p in picks),
+                  symbols, symbols, st.lists(st.booleans(), min_size=1, max_size=60)),
+    ))
+    M = draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]))
+    lane_a = lane_b.translate(affine_table(n, M, draw(symbols)))
+    how = draw(st.sampled_from(["image", "image", "changed", "random"]))
+    if how == "changed":
+        i, v = draw(st.integers(0, len(lane_a) - 1)), draw(symbols)
+        lane_a = lane_a[:i] + codes[v:v + 1] + lane_a[i + 1:]
+    elif how == "random":
+        lane_a = bytes(codes[v] for v in draw(st.lists(symbols, min_size=len(lane_b),
+                                                        max_size=len(lane_b))))
+    return lane_a, lane_b, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_pairs())
+def test_lane_fits_finds_every_unit_that_maps_lane_b_onto_lane_a(pair):
+    lane_a, lane_b, n = pair
+    codes = LANE_CODES[n]
+    a0, b0 = lane_a[0] - codes[0], lane_b[0] - codes[0]
+    # Any fit maps lane_b's first symbol onto lane_a's, which fixes C.
+    expected = [(M, (a0 - M * b0) % n) for M in range(1, n) if math.gcd(M, n) == 1]
+    expected = [(M, C) for M, C in expected if lane_b.translate(affine_table(n, M, C)) == lane_a]
+    assert _lane_fits(lane_a, lane_b, n) == expected
 
 
 def lane_oracle(ciphertext, scorer=english_score, *, mode="byte", min_score=None):

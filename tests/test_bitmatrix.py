@@ -227,6 +227,12 @@ class TestPermutation:
         # same permutation object regardless of what it will carry
         assert build_permutation(5) is build_permutation(5)
 
+    def test_cache_holds_one_permutation(self):
+        # Memory does not grow with how many lengths came before.
+        for n_sym in range(1, 41):
+            build_permutation(n_sym)
+        assert build_permutation.cache_info().currsize == 1
+
     def test_size_checked(self):
         with pytest.raises(BadLength):
             build_permutation(2).apply([0] * 16)

@@ -294,17 +294,23 @@ class TestIterate:
             iterate_encrypt([0], key, "vigenere")
 
     def test_defensive_bound_recheck(self):
-        # frozen dataclass tampered past validation must still fail
-        key = CipherParams(n=256, m=3, b=7, k=5, ra=2, rc=3)
-        object.__setattr__(key, "ra", 99)
-        with pytest.raises(IterationBoundExceeded):
-            iterate_encrypt([0], key, LANE_AFFINE)
+        # frozen dataclass tampered past validation must still fail, on
+        # either lane and in either direction
+        for lane, field, bound in ((LANE_AFFINE, "ra", 7), (LANE_CAESAR, "rc", 5)):
+            key = CipherParams(n=256, m=3, b=7, k=5, ra=2, rc=3)
+            object.__setattr__(key, field, 99)
+            for call in (iterate_encrypt, iterate_decrypt):
+                with pytest.raises(IterationBoundExceeded,
+                                   match=rf"^{field}=99 outside \[1, {bound}\]$"):
+                    call([0], key, lane)
 
-    @pytest.mark.parametrize("n,m,ra", [(256, 16, 2), (256, 2, 1), (26, 13, 1), (26, 13, 2)])
+    @pytest.mark.parametrize("n,m,ra", [(256, 16, 2), (256, 2, 1), (26, 13, 1), (26, 13, 2),
+                                        (256, 16, 9), (26, 13, 9)])
     def test_defensive_unit_recheck(self, n, m, ra):
         # A tampered non-unit m fails in both directions: m^ra = 0 must not
         # escape as a bare ValueError, and an m with m^ra != 0 must not
-        # encrypt to output that cannot be decrypted.
+        # encrypt to output that cannot be decrypted.  With ra > b (= 7) the
+        # unit check still comes first.
         key = CipherParams(n=n, m=3, b=7, k=5, ra=1, rc=3)
         ciphertext = encrypt(b"AB", key)
         object.__setattr__(key, "m", m)
