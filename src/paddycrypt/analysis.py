@@ -365,10 +365,10 @@ def _best_shift(codes_b: bytes, n: int, shifts, order_of, scorer, min_score):
     name is not it) scores from counts: shift s's count of text symbol v is
     lane_b's histogram at v + s, so its letter and space counts are window
     sums of the doubled histogram, and give its coverage bound top / size
-    on its score.  Shifts are visited by descending bound until
-    the bound falls below the score to reach (the best so far, or
-    min_score), and scored by _score_counts with that score as the floor.
-    Only the winner's text is built.  Any other scorer, or an empty lane,
+    on its score.  Shifts are visited by descending bound until the bound
+    falls below the score to reach (the best so far, or min_score), and
+    scored by _score_counts with that score as the floor.  Only the
+    winner's text is built.  Any other scorer, or an empty lane,
     gets every shift's text in the order given.
     """
     from_counts = scorer is _ENGLISH_SCORE and bool(codes_b)
