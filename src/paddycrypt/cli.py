@@ -29,8 +29,8 @@ def _add_input_args(parser: argparse.ArgumentParser, what: str) -> None:
 def _read(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        return fh.readall()
 
 
 def _read_input(args, stdin_default: bool = False) -> bytes:
@@ -60,26 +60,28 @@ def _read_ciphertext(args) -> pipeline.CipherText:
     return pipeline.parse_ciphertext(text)
 
 
-def _open_in_place(path, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def _write(path, data: bytes) -> None:
     """Write data to stdout (path None) or make it the contents of path.
 
-    A regular file is written over in place and then cut to its new length.
-    Truncating it to zero on open instead would make ext4 (auto_da_alloc)
-    start writing it out to disk when it is closed, which takes about 0.1 ms
-    a write, more when the disk is busy.
+    A regular file is written over in place and then cut to its new length
+    if it was longer.  Truncating it to zero on open instead would make ext4
+    (auto_da_alloc) start writing it out to disk when it is closed, which
+    takes about 0.1 ms a write, more when the disk is busy.
     """
     if path is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return
-    with open(path, "wb", opener=_open_in_place) as fh:
-        fh.write(data)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _cmd_encrypt(args) -> int:
@@ -138,37 +140,42 @@ def _cmd_freq(args) -> int:
     return 0
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  Its commands attribute maps each command name to
+    that command's subparser."""
     parser = argparse.ArgumentParser(
         prog="paddycrypt",
         description="Dual-lane affine/caesar cipher with a rice-paddy bit "
                     "transposition, plus cryptanalysis tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    enc = sub.add_parser("encrypt", help="encrypt a file or inline text")
+    def add_command(name: str, func, help: str) -> argparse.ArgumentParser:
+        parser.commands[name] = command = sub.add_parser(name, help=help)
+        command.set_defaults(func=func)
+        return command
+
+    enc = add_command("encrypt", _cmd_encrypt, "encrypt a file or inline text")
     _add_input_args(enc, "plaintext")
     enc.add_argument("--key", required=True, metavar="PATH", help="key file")
     enc.add_argument("--format", choices=("bits", "hex"), default="bits",
                      help="ciphertext encoding (default bits)")
     enc.add_argument("-o", "--output", metavar="PATH")
-    enc.set_defaults(func=_cmd_encrypt)
 
-    dec = sub.add_parser("decrypt", help="decrypt a ciphertext file")
+    dec = add_command("decrypt", _cmd_decrypt, "decrypt a ciphertext file")
     dec.add_argument("input", nargs="?", metavar="INPUT",
                      help="ciphertext path, or - for stdin")
     dec.add_argument("--key", required=True, metavar="PATH", help="key file")
     dec.add_argument("-o", "--output", metavar="PATH")
-    dec.set_defaults(func=_cmd_decrypt)
 
-    gen = sub.add_parser("keygen", help="generate a random key file")
+    gen = add_command("keygen", _cmd_keygen, "generate a random key file")
     gen.add_argument("--mode", choices=("byte", "letters"), default="byte")
     gen.add_argument("--seed", type=int, help="seed for reproducible keys")
     gen.add_argument("-o", "--output", metavar="PATH")
-    gen.set_defaults(func=_cmd_keygen)
 
-    crk = sub.add_parser("crack", help="recover key or plaintext from a ciphertext")
+    crk = add_command("crack", _cmd_crack, "recover key or plaintext from a ciphertext")
     crk.add_argument("input", nargs="?", metavar="INPUT",
                      help="ciphertext path, or - for stdin")
     crk.add_argument("--method", choices=("grid", "caesar-lane"), default="grid",
@@ -183,27 +190,34 @@ def _build_parser() -> argparse.ArgumentParser:
     crk.add_argument("--plaintext-out", metavar="PATH",
                      help="also write the recovered plaintext")
     crk.add_argument("-o", "--output", metavar="PATH")
-    crk.set_defaults(func=_cmd_crack)
 
-    ava = sub.add_parser("avalanche", help="per-bit diffusion report (CSV)")
+    ava = add_command("avalanche", _cmd_avalanche, "per-bit diffusion report (CSV)")
     _add_input_args(ava, "plaintext")
     ava.add_argument("--key", required=True, metavar="PATH", help="key file")
     ava.add_argument("-o", "--output", metavar="PATH")
-    ava.set_defaults(func=_cmd_avalanche)
 
-    frq = sub.add_parser("freq", help="value histogram of a file (CSV)")
+    frq = add_command("freq", _cmd_freq, "value histogram of a file (CSV)")
     _add_input_args(frq, "data")
     frq.add_argument("--bits", action="store_true",
                      help="input is ciphertext; profile its bit balance")
     frq.add_argument("-o", "--output", metavar="PATH")
-    frq.set_defaults(func=_cmd_freq)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # help, or a missing or unknown command: a usage error
+        args = parser.parse_args(argv)
+    else:
+        # What parse_args does once it has read the command name, without
+        # the top-level pass over the whole argv.
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     # Some argparse versions turn an explicit "--text=--" into []; the
     # value given was the literal "--".
     for name, value in vars(args).items():

@@ -115,11 +115,20 @@ class CipherText:
 
     @classmethod
     def from_bitstring(cls, text: str) -> "CipherText":
-        # int() would also take '_', signs and whitespace, so check first.
-        _check_chars(text, "01", "ciphertext may contain only 0 and 1, got {!r}")
+        try:
+            # int() also takes non-ASCII digits, '_', a sign, a 0b prefix and
+            # whitespace at either end; any other character but 0 and 1 it
+            # rejects.  _check_chars words the error.
+            if not (text.isascii() and "_" not in text and (
+                    not text or text[0] in "01" and text[-1] in "01" and text[1:2] not in ("b", "B"))):
+                raise ValueError
+            value = int(text or "0", 2)
+        except ValueError:
+            _check_chars(text, "01", "ciphertext may contain only 0 and 1, got {!r}")
+            raise
         if len(text) % 16:
             raise BadLength(f"ciphertext bit count {len(text)} is not a multiple of 16")
-        return cls.from_packed(int(text or "0", 2).to_bytes(len(text) // 8, "big"))
+        return cls.from_packed(value.to_bytes(len(text) // 8, "big"))
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":

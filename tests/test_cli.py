@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front-end."""
 
+import argparse
+import contextlib
 import io
 import os
 import stat
@@ -107,6 +109,27 @@ class TestOutputFiles:
         assert len(ct.read_text()) == len("fmt=hex\n") + 16 + 1
         assert run("decrypt", str(ct), "--key", keyfile, "-o", str(out)) == 0
         assert out.read_bytes() == b"rice"
+
+    def test_same_length_output_is_written_over(self, tmp_path, keyfile, monkeypatch):
+        ct = tmp_path / "msg.ct"
+        assert run("encrypt", "--text", "rice", "--key", keyfile, "-o", str(ct)) == 0
+        first = ct.read_bytes()
+        truncated = []
+        monkeypatch.setattr(os, "ftruncate", lambda *args: truncated.append(args))
+        assert run("encrypt", "--text", "husk", "--key", keyfile, "-o", str(ct)) == 0
+        assert truncated == []
+        second = ct.read_bytes()
+        assert len(second) == len(first) and second != first
+        assert second == format_ciphertext(encrypt(b"husk", parse_key(Path(keyfile).read_text()))).encode()
+
+    def test_output_path_is_the_input_path(self, tmp_path, keyfile):
+        data = b"the ciphertext replaces its own plaintext"
+        path = tmp_path / "msg"
+        path.write_bytes(data)
+        assert run("encrypt", str(path), "--key", keyfile, "-o", str(path)) == 0
+        assert len(path.read_bytes()) == 16 * len(data) + 1
+        assert run("decrypt", str(path), "--key", keyfile, "-o", str(path)) == 0
+        assert path.read_bytes() == data
 
     def test_empty_output_empties_file(self, tmp_path, keyfile):
         ct = tmp_path / "msg.ct"
@@ -373,6 +396,77 @@ class TestDiagnostics:
         assert captured.err == "error: give either an input path or --text, not both\n"
 
 
+# main() hands an argv that starts with a command name to that command's
+# subparser; each of these must end as a full parse_args of it would.
+DISPATCH_ARGVS = [
+    ["encrypt", "--text", "x", "--key", "k", "--format", "hex", "-o", "o"],
+    ["decrypt", "ct", "--key", "k"],
+    ["crack", "ct", "--method", "caesar-lane", "--mode", "letters"],
+    ["crack", "--cap-b=7", "--cap-k", "5", "--report", "r.csv", "--plaintext-out", "p"],
+    ["encrypt", "pt", "--key", "k"],
+    ["keygen", "--seed", "3"],
+    ["freq", "data", "--bits"],
+    ["avalanche", "--text=--", "--key", "k"],
+    ["encrypt", "--text", "x", "--key", "k", "--form", "hex"],  # an abbreviation
+    ["encrypt", "--key", "k", "--", "-pt"],
+    ["encrypt", "--key", "k", "--text", "x", "extra"],  # extra is INPUT
+    # Usage errors and help.
+    ["encrypt", "pt", "--key", "k", "extra"],
+    ["encrypt", "pt", "extra", "--key", "k", "more"],
+    ["decrypt", "ct", "--key", "k", "--bogus"],
+    ["decrypt", "ct", "--key", "k", "--bogus=1", "-z"],
+    ["keygen", "--seed", "three"],
+    ["crack", "--cap-b"],
+    ["encrypt", "--text", "x"],
+    ["avalanche", "--text", "x"],
+    ["encrypt", "--text", "x", "--key", "k", "--format", "morse"],
+    *([command, "-h"] for command in ("encrypt", "decrypt", "keygen", "crack", "avalanche", "freq")),
+    ["decrypt", "--help", "extra"],
+    [],
+    ["-h"],
+    ["--bogus", "encrypt"],
+    ["encode", "--key", "k"],
+    ["Encrypt"],
+]
+
+
+def _outcome(call, argv):
+    """call(argv)'s return value or SystemExit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def check_dispatch_matches_a_full_parse(argv):
+    """main(argv), with each command's func replaced by a recorder, ends
+    as a fresh parser's parse_args(argv) does: the same namespace (bar
+    func, and with main's "--text=--" repair), exit code and output."""
+    commands = _build_parser().commands
+    funcs = {name: command.get_default("func") for name, command in commands.items()}
+    seen = []
+    for command in commands.values():
+        command.set_defaults(func=lambda args: seen.append(dict(vars(args))) or 0)
+    try:
+        dispatched = _outcome(main, list(argv))
+    finally:
+        for name, command in commands.items():
+            command.set_defaults(func=funcs[name])
+    parsed, out, err = _outcome(_build_parser.__wrapped__().parse_args, list(argv))
+    if isinstance(parsed, argparse.Namespace):
+        assert parsed.func is funcs[argv[0]]
+        expected = {key: "--" if value == [] else value
+                    for key, value in vars(parsed).items() if key != "func"}
+        assert [{key: value for key, value in ns.items() if key != "func"} for ns in seen] == [expected]
+        assert dispatched == (0, out, err)
+    else:
+        assert seen == []
+        assert dispatched == (parsed, out, err)
+
+
 class TestParserReuse:
     def test_sequential_commands_share_no_values(self, tmp_path, keyfile, capsys):
         ct = tmp_path / "msg.ct"
@@ -398,3 +492,7 @@ class TestParserReuse:
         for argv in argvs:
             assert vars(_build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_dispatch_matches_a_full_parse(self, argv):
+        check_dispatch_matches_a_full_parse(argv)

@@ -20,6 +20,7 @@ from paddycrypt.errors import (
 )
 from paddycrypt.pipeline import (
     CipherText,
+    _check_chars,
     decrypt,
     encrypt,
     format_ciphertext,
@@ -428,6 +429,21 @@ class TestPackedCipherText:
             except (ParseError, BadLength):
                 continue
             assert render(ct) == canonical
+
+    # 0/1 runs (8 digits make half a symbol), then each character int()
+    # takes in base 2 though it is not 0 or 1, and some it does not take.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["0", "1", "01" * 4, "10" * 4, "_", " ", "\t", "\n", "\xa0",
+                                     "b", "B", "+", "-", "2", "x", "\u0661", "\ud800"]),
+                    max_size=12).map("".join))
+    def test_bitstring_parse_matches_a_check_every_character_reference(self, text):
+        def reference(text):
+            _check_chars(text, "01", "ciphertext may contain only 0 and 1, got {!r}")
+            if len(text) % 16:
+                raise BadLength(f"ciphertext bit count {len(text)} is not a multiple of 16")
+            return CipherText.from_packed(int(text or "0", 2).to_bytes(len(text) // 8, "big"))
+
+        assert outcome(CipherText.from_bitstring, text) == outcome(reference, text)
 
     @settings(max_examples=100, deadline=None)
     @given(st.binary(max_size=64).map(lambda raw: raw[:len(raw) // 2 * 2]))
