@@ -1,0 +1,121 @@
+"""Digest of attack outcomes, and key readbacks of the grid cracker.
+
+Runs brute_force and caesar_lane_attack over a fixed set of ciphertexts,
+scorers, caps and min_score values, and prints the number of outcomes and a
+sha256 over the repr of each.  An outcome is (recovered_key, plaintext,
+score, candidates_tried, keyspace, effective_shift), or (error type,
+message) when the attack raises.  Two commits whose digests match return
+the same attack results on this set.
+
+The set:
+- ciphertexts: the benchmark crack pools of seeds 1-10 at the default run
+  length (840 sentences, their own modes and keys), plus 34 B of 'a', the
+  empty message in both modes, 'AAAA' in letters mode and bytes(range(256));
+- scorers: english_score, printable_ratio and a lambda around english_score
+  (which takes the text path);
+- grid caps: the default (16 byte, 25 letters) and small (3/5 byte, 2/5
+  letters), as (cap_b, cap_k);
+- min_score None, 0.5 and 0.95.
+
+It also counts the calls to brute_force's key readback (the closure
+order_of) with sys.setprofile: over the crack pools at default caps with
+english_score and with printable_ratio, and on 34 B of 'a' at byte caps
+255 with english_score.
+
+The package comes from PYTHONPATH, the pools from this checkout's bench/:
+
+    PYTHONPATH=src python scripts/attack_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from itertools import islice
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import paddycrypt  # noqa: E402
+from paddycrypt import CipherError, CipherParams, analysis, encrypt  # noqa: E402
+from workloads import Crack  # noqa: E402
+
+CAPS = {"byte": [(16, 16), (3, 5)], "letters": [(25, 25), (2, 5)]}
+SCORERS = [analysis.english_score, analysis.printable_ratio,
+           lambda d: analysis.english_score(d)]
+MIN_SCORES = [None, 0.5, 0.95]
+
+
+def ciphertexts():
+    """(ciphertext, mode) pairs: the crack pools of seeds 1-10, then the
+    edge-case messages."""
+    out = []
+    for seed in range(1, 11):
+        crack = Crack(seed, ".", 35)
+        out += [crack.prepare(paddycrypt, item) for item in islice(crack.items(), crack.pool)]
+    byte_key = CipherParams(n=256, m=3, b=5, k=7, ra=2, rc=4)
+    letters_key = CipherParams(n=26, m=5, b=3, k=4, ra=2, rc=3)
+    for message, key in ((b"a" * 34, byte_key), (b"", byte_key), (b"", letters_key),
+                         (b"AAAA", letters_key), (bytes(range(256)), byte_key)):
+        out.append((encrypt(message, key), "byte" if key.n == 256 else "letters"))
+    return out
+
+
+def outcome(attack, *args, **kwargs):
+    try:
+        r = attack(*args, **kwargs)
+    except CipherError as err:  # an error is part of the outcome
+        return (type(err).__name__, str(err))
+    return (r.recovered_key, r.plaintext, r.score, r.candidates_tried, r.keyspace,
+            r.effective_shift)
+
+
+def digest(pairs) -> tuple[int, str]:
+    h, count = hashlib.sha256(), 0
+    for ciphertext, mode in pairs:
+        for scorer in SCORERS:
+            for min_score in MIN_SCORES:
+                results = [outcome(analysis.caesar_lane_attack, ciphertext, scorer,
+                                   mode=mode, min_score=min_score)]
+                results += [outcome(analysis.brute_force, ciphertext, scorer, mode=mode,
+                                    cap_b=cap_b, cap_k=cap_k, min_score=min_score)
+                            for cap_b, cap_k in CAPS[mode]]
+                for result in results:
+                    h.update(repr(result).encode())
+                    count += 1
+    return count, h.hexdigest()
+
+
+def readbacks(pairs, scorer, caps=None) -> int:
+    """Calls to brute_force's order_of over pairs at default or given caps."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "order_of":
+            calls += 1
+
+    for ciphertext, mode in pairs:
+        cap_b, cap_k = caps or CAPS[mode][0]
+        sys.setprofile(profile)
+        try:
+            analysis.brute_force(ciphertext, scorer, mode=mode, cap_b=cap_b, cap_k=cap_k)
+        finally:
+            sys.setprofile(None)
+    return calls
+
+
+def main() -> None:
+    pairs = ciphertexts()
+    count, hexdigest = digest(pairs)
+    print(f"outcomes {count} sha256 {hexdigest}")
+    pools = pairs[:840]
+    print("readbacks, crack pools, english_score:", readbacks(pools, analysis.english_score))
+    print("readbacks, crack pools, printable_ratio:", readbacks(pools, analysis.printable_ratio))
+    constant = [(encrypt(b"a" * 34, CipherParams(n=256, m=3, b=5, k=7, ra=2, rc=4)), "byte")]
+    print("readbacks, 34 B of 'a' at byte caps 255, english_score:",
+          readbacks(constant, analysis.english_score, (255, 255)))
+
+
+if __name__ == "__main__":
+    main()

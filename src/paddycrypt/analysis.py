@@ -16,9 +16,10 @@ score each distinct candidate text only once.  Every candidate text is
 lane_b shifted back, so with the built-in english_score both attacks
 score from counts: one histogram of lane_b, read at each shift's offset,
 gives every candidate's letter and space counts.  Candidates whose
-coverage bound cannot beat the best so far (or min_score) are not scored,
-and only the winner's text is built.  Custom or wrapped scorers get every
-candidate text and score it in full.
+coverage bound cannot beat the best so far (or min_score) are not scored.
+Ties for the best score are broken once scoring is done, in each attack's
+key order, and only the winner's text is built.  Custom or wrapped scorers
+get every candidate text and score it in full.
 """
 
 from __future__ import annotations
@@ -245,11 +246,11 @@ def brute_force(
     holds the shifts k*rc, and one row per root (m, ra) of each M the
     values b*T, b = ra..cap_b, which give the shifts s = (B - C)/M.  A
     shift in rows of both kinds agrees and gives one text, lane_b - s,
-    scored as in caesar_lane_attack; the smallest (m, b, k, ra, rc) at a
-    shift, which breaks ties, is read from the rows only for a shift that
-    can win.  candidates_tried is still the whole grid, keyspace_size(n,
-    cap_b, cap_k).  Raises NotFound when no key's lanes agree (above
-    min_score).
+    scored as in caesar_lane_attack.  Ties go to the smallest (m, b, k,
+    ra, rc) at a shift, read from the rows once all scoring is done and
+    only for the shifts that tie for the best score.  candidates_tried is
+    still the whole grid, keyspace_size(n, cap_b, cap_k).  Raises NotFound
+    when no key's lanes agree (above min_score).
     """
     n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
@@ -307,14 +308,15 @@ def brute_force(
         m, b, ra = best
         return m, b, k, ra, rc
 
-    shifts = [code - codes[0] for code in agreeing]
-    best = _best_shift(codes_b, n, shifts, order_of, scorer, min_score)
-    elapsed = time.perf_counter() - start
+    best = _best_shift(codes_b, n, [code - codes[0] for code in agreeing], scorer, min_score)
     if best is None:
         raise NotFound(
             f"no key with b<={cap_b}, k<={cap_k} produced agreeing lanes above the threshold"
         )
-    score, order, text = best
+    score, tied = best
+    order, s = min((order_of(s), s) for s in tied)
+    text = codes_b.translate(affine_table(n, 1, -s % n))
+    elapsed = time.perf_counter() - start
     keyspace = keyspace_size(n, cap_b, cap_k)
     return AttackResult("brute-force", CipherParams(n, *order), text, score, keyspace, elapsed,
                         keyspace)
@@ -355,11 +357,10 @@ _SPACES = {256: (32,), 26: ()}
 _ENGLISH_SCORE = english_score
 
 
-def _best_shift(codes_b: bytes, n: int, shifts, order_of, scorer, min_score):
-    """The best (score, order, text) among the shifts that score at least
-    min_score, text being lane_b - shift and order order_of(shift), ties
-    going to the smallest order; None if none does.  order_of is called
-    only for a shift that scores at least the best score so far.
+def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score):
+    """(best, tied): the best score of a text lane_b - shift among the
+    shifts that score at least min_score, and the shifts that reach it, in
+    the order scored; None if none does.  The caller breaks the tie.
 
     The built-in scorer (_ENGLISH_SCORE, so a wrapper rebound to the module
     name is not it) scores from counts: shift s's count of text symbol v is
@@ -367,9 +368,9 @@ def _best_shift(codes_b: bytes, n: int, shifts, order_of, scorer, min_score):
     sums of the doubled histogram, and give its coverage bound top / size
     on its score.  Shifts are visited by descending bound until the bound
     falls below the score to reach (the best so far, or min_score), and
-    scored by _score_counts with that score as the floor.  Only the
-    winner's text is built.  Any other scorer, or an empty lane,
-    gets every shift's text in the order given.
+    scored by _score_counts with that score as the floor; no text is
+    built.  Any other scorer, or an empty lane, gets every shift's text in
+    the order given.
     """
     from_counts = scorer is _ENGLISH_SCORE and bool(codes_b)
     if from_counts:
@@ -389,25 +390,21 @@ def _best_shift(codes_b: bytes, n: int, shifts, order_of, scorer, min_score):
         for space in _SPACES[n]:
             letterish = list(map(add, letterish, doubled[space:]))
         shifts = sorted(shifts, key=letterish.__getitem__, reverse=True)
-    best = None  # (score, order, shift)
+    best, tied = min_score, []  # best is min_score until a shift scores
     for s in shifts:
         if from_counts:
-            floor = min_score if best is None else best[0]
-            if floor is not None and letterish[s] / size * size / size < floor:
+            if best is not None and letterish[s] / size * size / size < best:
                 break
-            score = _score_counts(size, letterish[s], folded[s:s + 26], floor)
+            score = _score_counts(size, letterish[s], folded[s:s + 26], best)
         else:
             score = scorer(codes_b.translate(affine_table(n, 1, -s % n)))
         if min_score is not None and score < min_score:
             continue
-        if best is None or score >= best[0]:
-            order = order_of(s)
-            if best is None or score > best[0] or order < best[1]:
-                best = (score, order, s)
-    if best is None:
-        return None
-    score, order, s = best
-    return score, order, codes_b.translate(affine_table(n, 1, -s % n))
+        if not tied or score > best:
+            best, tied = score, [s]
+        elif score == best:
+            tied.append(s)
+    return (best, tied) if tied else None
 
 
 @functools.cache  # one per (n, t), built on first use
@@ -470,12 +467,13 @@ def caesar_lane_attack(
 
     _, codes_b = deinterleave(ciphertext.packed)
     check_lane_codes(codes_b, n)
-    best = _best_shift(codes_b, n, range(n), int, scorer, min_score)
-
-    elapsed = time.perf_counter() - start
+    best = _best_shift(codes_b, n, range(n), scorer, min_score)
     if best is None:
         raise NotFound(f"no shift scored above {min_score}")
-    score, shift, text = best
+    score, tied = best
+    shift = min(tied)
+    text = codes_b.translate(affine_table(n, 1, -shift % n))
+    elapsed = time.perf_counter() - start
     return AttackResult("caesar-lane-shortcut", None, text, score, n, elapsed,
                         effective_shift=shift)
 

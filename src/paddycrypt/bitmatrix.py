@@ -312,12 +312,17 @@ def interleave(data: bytes, table_a: bytes, table_b: bytes) -> bytes:
     return stream.to_bytes(2 * n, "big")
 
 
+def check_bit_count(count: int) -> None:
+    """Raise BadLength unless count ciphertext bits are whole symbols, 16 each."""
+    if count % 16:
+        raise BadLength(f"ciphertext bit count {count} is not a multiple of 16")
+
+
 def deinterleave(packed: bytes, table_a: bytes | None = None,
                  table_b: bytes | None = None) -> tuple[bytes, bytes]:
     """Inverse of interleave: packed ciphertext -> (affine, caesar) lanes,
     mapped through table_a and table_b (the raw lanes without tables)."""
-    if len(packed) % 2:
-        raise BadLength(f"ciphertext bit count {8 * len(packed)} is not a multiple of 16")
+    check_bit_count(8 * len(packed))
     for table in (table_a, table_b):
         if table is not None:
             _check_table(table)
@@ -352,7 +357,6 @@ def deinterleave(packed: bytes, table_a: bytes | None = None,
 
 def unharvest(bits) -> tuple[list, list]:
     """Undo harvest and placement: ciphertext bits -> (affine, caesar) lanes."""
-    if len(bits) % 16:
-        raise BadLength(f"ciphertext bit count {len(bits)} is not a multiple of 16")
+    check_bit_count(len(bits))
     codes_a, codes_b = deinterleave(pack_cells(bits))
     return symbols_to_bits(codes_a), symbols_to_bits(codes_b)

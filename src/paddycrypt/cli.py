@@ -34,10 +34,9 @@ def _read(path: str) -> bytes:
 
 
 def _read_input(args, stdin_default: bool = False) -> bytes:
-    """The payload: --text, else the INPUT path, else stdin if stdin_default."""
+    """The payload: --text, else the INPUT path, else stdin if stdin_default.
+    main has checked that they are not both given."""
     text = getattr(args, "text", None)
-    if text is not None and args.input is not None:
-        raise CipherError("give either an input path or --text, not both")
     if text is not None:
         try:  # the exact argv bytes, even ones that are not UTF-8
             return os.fsencode(text)
@@ -229,6 +228,9 @@ def main(argv=None) -> int:
         except ValueError as err:
             parser.error(str(err))
     try:
+        # Before any command opens a file, so a bad key path cannot hide it.
+        if getattr(args, "text", None) is not None and args.input is not None:
+            raise CipherError("give either an input path or --text, not both")
         return args.func(args)
     except (CipherError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

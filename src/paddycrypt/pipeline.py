@@ -23,7 +23,7 @@ from binascii import a2b_hex
 from dataclasses import dataclass
 from math import gcd
 
-from .bitmatrix import deinterleave, interleave, pack_cells, unpack_cells
+from .bitmatrix import check_bit_count, deinterleave, interleave, pack_cells, unpack_cells
 from .ciphers import (
     ALPHABET_SIZES,
     LANE_AFFINE,
@@ -78,15 +78,13 @@ class CipherText:
     packed: bytes
 
     def __init__(self, cells) -> None:
-        if len(cells) % 16:
-            raise BadLength(f"ciphertext bit count {len(cells)} is not a multiple of 16")
+        check_bit_count(len(cells))
         object.__setattr__(self, "packed", pack_cells(cells))
 
     @classmethod
     def from_packed(cls, raw) -> "CipherText":
         """The ciphertext whose packed bytes are raw (2 per symbol)."""
-        if len(raw) % 2:
-            raise BadLength(f"ciphertext bit count {8 * len(raw)} is not a multiple of 16")
+        check_bit_count(8 * len(raw))
         ciphertext = cls.__new__(cls)
         object.__setattr__(ciphertext, "packed", bytes(raw))
         return ciphertext
@@ -126,8 +124,7 @@ class CipherText:
         except ValueError:
             _check_chars(text, "01", "ciphertext may contain only 0 and 1, got {!r}")
             raise
-        if len(text) % 16:
-            raise BadLength(f"ciphertext bit count {len(text)} is not a multiple of 16")
+        check_bit_count(len(text))
         return cls.from_packed(value.to_bytes(len(text) // 8, "big"))
 
     @classmethod

@@ -210,6 +210,26 @@ class TestCrack:
         assert run("crack", str(ct), "--method", "caesar-lane") == 0
         assert capsysbinary.readouterr().out == b"meet me at the usual place"
 
+    @pytest.mark.parametrize("method, error", [
+        ("grid", "error: no key with b<=16, k<=16 produced agreeing lanes above the threshold\n"),
+        ("caesar-lane", "error: no shift scored above 2.0\n"),
+    ])
+    def test_min_score(self, tmp_path, capsysbinary, method, error):
+        key = CipherParams(n=256, m=3, b=4, k=3, ra=1, rc=2)
+        ct = tmp_path / "msg.ct"
+        ct.write_text(format_ciphertext(encrypt(b"meet me at the usual place", key)))
+        assert run("crack", str(ct), "--method", method) == 0
+        expected = capsysbinary.readouterr().out
+        assert expected in (serialize_key(key).encode(), b"meet me at the usual place")
+        # A threshold below the winner's score (0.52) changes nothing.
+        assert run("crack", str(ct), "--method", method, "--min-score", "0.25") == 0
+        assert capsysbinary.readouterr().out == expected
+        # No candidate reaches a score of 2 (scores are at most 1).
+        assert run("crack", str(ct), "--method", method, "--min-score", "2") == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode() == error
+
 
 class TestReportsCommands:
     def test_avalanche_csv(self, tmp_path, keyfile):
@@ -395,6 +415,14 @@ class TestDiagnostics:
         assert captured.out == ""
         assert captured.err == "error: give either an input path or --text, not both\n"
 
+    @pytest.mark.parametrize("command", ["encrypt", "avalanche"])
+    def test_both_input_and_text_before_the_key_file(self, tmp_path, command, capsys):
+        missing = str(tmp_path / "nokey")
+        assert run(command, str(tmp_path / "p.bin"), "--text", "x", "--key", missing) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: give either an input path or --text, not both\n"
+
 
 # main() hands an argv that starts with a command name to that command's
 # subparser; each of these must end as a full parse_args of it would.
@@ -444,7 +472,8 @@ def _outcome(call, argv):
 def check_dispatch_matches_a_full_parse(argv):
     """main(argv), with each command's func replaced by a recorder, ends
     as a fresh parser's parse_args(argv) does: the same namespace (bar
-    func, and with main's "--text=--" repair), exit code and output."""
+    func, and with main's "--text=--" repair), exit code and output.  An
+    INPUT given with --text is refused by main before the command runs."""
     commands = _build_parser().commands
     funcs = {name: command.get_default("func") for name, command in commands.items()}
     seen = []
@@ -458,6 +487,10 @@ def check_dispatch_matches_a_full_parse(argv):
     parsed, out, err = _outcome(_build_parser.__wrapped__().parse_args, list(argv))
     if isinstance(parsed, argparse.Namespace):
         assert parsed.func is funcs[argv[0]]
+        if getattr(parsed, "text", None) is not None and parsed.input is not None:
+            assert seen == []
+            assert dispatched == (1, "", "error: give either an input path or --text, not both\n")
+            return
         expected = {key: "--" if value == [] else value
                     for key, value in vars(parsed).items() if key != "func"}
         assert [{key: value for key, value in ns.items() if key != "func"} for ns in seen] == [expected]
