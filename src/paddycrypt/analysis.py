@@ -46,7 +46,7 @@ from .ciphers import (
     iterated_affine,
     lane_table,
 )
-from .errors import CipherError, InvalidArgument, NotFound
+from .errors import InvalidArgument, NotFound
 from .pipeline import CipherText, _plaintext_codes
 
 # Relative letter frequencies in running English text (A..Z).
@@ -150,12 +150,15 @@ def frequency_profile(data, n: int = 256) -> list[float]:
 
     Byte or symbol sequences profile over [0, n); CipherText inputs are
     profiled per bit (n=2), exposing the ciphertext's 0/1 balance.  Raises
-    CipherError for a value that is not an int in [0, n).
+    InvalidArgument for an n that is not an int, or a value that is not an
+    int in [0, n).
     """
     if isinstance(data, CipherText):
         ones = int.from_bytes(data.packed, "big").bit_count()
         counts = [8 * len(data.packed) - ones, ones]
     else:
+        if type(n) is not int:
+            raise InvalidArgument(f"n must be an int, got {n!r}")
         counts = [0] * n
         try:
             # Bytes hold only ints, so each distinct one is checked once, in
@@ -166,7 +169,7 @@ def frequency_profile(data, n: int = 256) -> list[float]:
                 tally = zip(data, repeat(1))
             for v, c in tally:
                 if not 0 <= v < n:
-                    raise CipherError(f"value {v} outside [0, {n})")
+                    raise InvalidArgument(f"value {v!r} outside [0, {n})")
                 counts[v] += c
         except TypeError:
             raise InvalidArgument(f"values must be ints in [0, {n})") from None
@@ -269,10 +272,9 @@ def brute_force(
         if len(reachable) == n:
             break
 
-    if codes_b:
-        fits = _lane_fits(codes_a, codes_b, n)
-    else:  # every key agrees on the empty text; the smallest, at shift 1, wins
-        fits, reachable = [(1, 0)], {codes[1]}
+    # Every key agrees on the empty text and every shift ties on it, so the
+    # fit (1, 0) of the smallest key, (1, 1, 1, 1, 1) at shift 1, is enough.
+    fits = _lane_fits(codes_a, codes_b, n) if codes_b else [(1, 0)]
 
     @functools.cache  # root (m, ra) -> the codes of B = b*T, b = ra..cap_b
     def b_row(m, ra):

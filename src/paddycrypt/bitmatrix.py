@@ -203,8 +203,11 @@ def build_permutation(n_symbols: int) -> PermutationMap:
 
     Built by pushing the lane-pair indices themselves through
     place/harvest, so apply() agrees with the matrix route by
-    construction for any cell content.  Raises InvalidArgument for N < 0.
+    construction for any cell content.  Raises InvalidArgument unless N is
+    an int >= 0.
     """
+    if type(n_symbols) is not int:
+        raise InvalidArgument(f"symbol count must be an int, got {n_symbols!r}")
     if n_symbols < 0:
         raise InvalidArgument(f"symbol count must be >= 0, got {n_symbols}")
     half = COLS * n_symbols

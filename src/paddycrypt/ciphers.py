@@ -48,6 +48,9 @@ def mod_inverse(m: int, n: int) -> int:
     Raises NoInverse when gcd(m, n) != 1; an affine key built on such an
     m cannot be decrypted.
     """
+    for name, value in (("m", m), ("modulus", n)):
+        if type(value) is not int:
+            raise InvalidArgument(f"{name} must be an int, got {value!r}")
     if n < 2:
         raise InvalidArgument(f"modulus must be >= 2, got {n}")
     try:
@@ -178,8 +181,8 @@ def _map_stream(stream, table: bytes, n: int) -> list[int]:
     codes = LANE_CODES[n]
     out = []
     for s in stream:
-        if not 0 <= s < n:
-            raise InvalidArgument(f"symbol {s} outside [0, {n})")
+        if not (isinstance(s, int) and 0 <= s < n):
+            raise InvalidArgument(f"symbol {s!r} outside [0, {n})")
         # Lane codes are consecutive, so code - codes[0] is the symbol.
         out.append(table[codes[s]] - codes[0])
     return out

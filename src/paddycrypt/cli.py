@@ -83,29 +83,26 @@ def _write(path, data: bytes) -> None:
         os.close(fd)
 
 
-def _cmd_encrypt(args) -> int:
+def _cmd_encrypt(args) -> None:
     key = _load_key(args)
     ciphertext = pipeline.encrypt(_read_input(args), key)
     _write(args.output, pipeline.format_ciphertext(ciphertext, args.format).encode())
-    return 0
 
 
-def _cmd_decrypt(args) -> int:
+def _cmd_decrypt(args) -> None:
     key = _load_key(args)
     _write(args.output, pipeline.decrypt(_read_ciphertext(args), key))
-    return 0
 
 
-def _cmd_keygen(args) -> int:
+def _cmd_keygen(args) -> None:
     key = pipeline.keygen(mode=args.mode, seed=args.seed)
     _write(args.output, pipeline.serialize_key(key).encode())
-    return 0
 
 
 _SCORERS = {"english": analysis.english_score, "printable": analysis.printable_ratio}
 
 
-def _cmd_crack(args) -> int:
+def _cmd_crack(args) -> None:
     ciphertext = _read_ciphertext(args)
     scorer = _SCORERS[args.scorer]
     if args.method == "grid":
@@ -123,20 +120,17 @@ def _cmd_crack(args) -> int:
         _write(args.report, analysis.attack_csv(result).encode())
     if args.plaintext_out:
         _write(args.plaintext_out, result.plaintext)
-    return 0
 
 
-def _cmd_avalanche(args) -> int:
+def _cmd_avalanche(args) -> None:
     key = _load_key(args)
     reports = analysis.avalanche(_read_input(args), key)
     _write(args.output, analysis.avalanche_csv(reports).encode())
-    return 0
 
 
-def _cmd_freq(args) -> int:
+def _cmd_freq(args) -> None:
     data = _read_ciphertext(args) if args.bits else _read_input(args)
     _write(args.output, analysis.frequency_csv(analysis.frequency_profile(data)).encode())
-    return 0
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged
@@ -161,18 +155,15 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--key", required=True, metavar="PATH", help="key file")
     enc.add_argument("--format", choices=("bits", "hex"), default="bits",
                      help="ciphertext encoding (default bits)")
-    enc.add_argument("-o", "--output", metavar="PATH")
 
     dec = add_command("decrypt", _cmd_decrypt, "decrypt a ciphertext file")
     dec.add_argument("input", nargs="?", metavar="INPUT",
                      help="ciphertext path, or - for stdin")
     dec.add_argument("--key", required=True, metavar="PATH", help="key file")
-    dec.add_argument("-o", "--output", metavar="PATH")
 
     gen = add_command("keygen", _cmd_keygen, "generate a random key file")
-    gen.add_argument("--mode", choices=("byte", "letters"), default="byte")
+    gen.add_argument("--mode", choices=tuple(ciphers.ALPHABET_SIZES), default="byte")
     gen.add_argument("--seed", type=int, help="seed for reproducible keys")
-    gen.add_argument("-o", "--output", metavar="PATH")
 
     crk = add_command("crack", _cmd_crack, "recover key or plaintext from a ciphertext")
     crk.add_argument("input", nargs="?", metavar="INPUT",
@@ -180,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crk.add_argument("--method", choices=("grid", "caesar-lane"), default="grid",
                      help="grid: full key search (writes a key file); "
                           "caesar-lane: <=n shift trials (writes plaintext)")
-    crk.add_argument("--mode", choices=("byte", "letters"), default="byte")
+    crk.add_argument("--mode", choices=tuple(ciphers.ALPHABET_SIZES), default="byte")
     crk.add_argument("--cap-b", type=int, default=16, help="largest b tried (grid)")
     crk.add_argument("--cap-k", type=int, default=16, help="largest k tried (grid)")
     crk.add_argument("--scorer", choices=sorted(_SCORERS), default="english")
@@ -188,19 +179,18 @@ def _build_parser() -> argparse.ArgumentParser:
     crk.add_argument("--report", metavar="PATH", help="write a CSV attack report")
     crk.add_argument("--plaintext-out", metavar="PATH",
                      help="also write the recovered plaintext")
-    crk.add_argument("-o", "--output", metavar="PATH")
 
     ava = add_command("avalanche", _cmd_avalanche, "per-bit diffusion report (CSV)")
     _add_input_args(ava, "plaintext")
     ava.add_argument("--key", required=True, metavar="PATH", help="key file")
-    ava.add_argument("-o", "--output", metavar="PATH")
 
     frq = add_command("freq", _cmd_freq, "value histogram of a file (CSV)")
     _add_input_args(frq, "data")
     frq.add_argument("--bits", action="store_true",
                      help="input is ciphertext; profile its bit balance")
-    frq.add_argument("-o", "--output", metavar="PATH")
 
+    for command in parser.commands.values():  # last, as in every command's help
+        command.add_argument("-o", "--output", metavar="PATH")
     return parser
 
 
@@ -231,10 +221,11 @@ def main(argv=None) -> int:
         # Before any command opens a file, so a bad key path cannot hide it.
         if getattr(args, "text", None) is not None and args.input is not None:
             raise CipherError("give either an input path or --text, not both")
-        return args.func(args)
+        args.func(args)
     except (CipherError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -234,8 +234,10 @@ class TestPermutation:
         assert build_permutation.cache_info().currsize == 1
 
     def test_size_checked(self):
-        with pytest.raises(BadLength):
-            build_permutation(2).apply([0] * 16)
+        for method in (build_permutation(2).apply, build_permutation(2).invert):
+            with pytest.raises(BadLength) as err:
+                method([0] * 16)
+            assert str(err.value) == "expected 32 cells, got 16"
         with pytest.raises(ValueError):
             build_permutation(-1)
 

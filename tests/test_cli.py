@@ -179,6 +179,13 @@ class TestKeygen:
         key = parse_key(capsys.readouterr().out)
         assert key.n == 26
 
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        assert run("keygen", "--seed", "7") == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["paddycrypt", "keygen", "--seed", "7"])
+        assert main() == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestCrack:
     def test_grid_prints_key_file(self, tmp_path, capsys):
@@ -209,6 +216,21 @@ class TestCrack:
         ct.write_text(format_ciphertext(encrypt(b"meet me at the usual place", key)))
         assert run("crack", str(ct), "--method", "caesar-lane") == 0
         assert capsysbinary.readouterr().out == b"meet me at the usual place"
+
+    @pytest.mark.parametrize("method", ["grid", "caesar-lane"])
+    def test_plaintext_out(self, tmp_path, method):
+        key = CipherParams(n=256, m=3, b=4, k=3, ra=1, rc=2)
+        ciphertext = encrypt(b"meet me at the usual place", key)
+        ct = tmp_path / "msg.ct"
+        ct.write_text(format_ciphertext(ciphertext))
+        out, plaintext = tmp_path / "out", tmp_path / "plain.out"
+        assert run("crack", str(ct), "--method", method, "--cap-b", "4", "--cap-k", "4",
+                   "--plaintext-out", str(plaintext), "-o", str(out)) == 0
+        assert plaintext.read_bytes() == b"meet me at the usual place"
+        if method == "grid":
+            assert decrypt(ciphertext, parse_key(out.read_text())) == plaintext.read_bytes()
+        else:
+            assert out.read_bytes() == plaintext.read_bytes()
 
     @pytest.mark.parametrize("method, error", [
         ("grid", "error: no key with b<=16, k<=16 produced agreeing lanes above the threshold\n"),
@@ -478,7 +500,7 @@ def check_dispatch_matches_a_full_parse(argv):
     funcs = {name: command.get_default("func") for name, command in commands.items()}
     seen = []
     for command in commands.values():
-        command.set_defaults(func=lambda args: seen.append(dict(vars(args))) or 0)
+        command.set_defaults(func=lambda args: seen.append(dict(vars(args))))
     try:
         dispatched = _outcome(main, list(argv))
     finally:

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from paddycrypt.analysis import _check_caps, brute_force, frequency_profile, keyspace_size
 from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
-from paddycrypt.ciphers import LANE_AFFINE, alphabet_size, iterate_encrypt, lane_table, mod_inverse
+from paddycrypt.ciphers import (
+    LANE_AFFINE,
+    LANE_CAESAR,
+    alphabet_size,
+    iterate_decrypt,
+    iterate_encrypt,
+    lane_table,
+    mod_inverse,
+)
 from paddycrypt.cli import main
 from paddycrypt.errors import CipherError, InvalidArgument, InvalidKey
 from paddycrypt.pipeline import (
@@ -34,12 +42,21 @@ KEYS = (
     (lambda: symbol_to_bits(256), "symbol 256 outside [0, 256)"),
     (lambda: symbols_to_bits(["a"]), "symbol 'a' outside [0, 256)"),
     (lambda: build_permutation(-1), "symbol count must be >= 0, got -1"),
+    (lambda: build_permutation("3"), "symbol count must be an int, got '3'"),
+    (lambda: build_permutation(2.0), "symbol count must be an int, got 2.0"),
     (lambda: _check_caps(26, 1, 26), "cap_k must be in [1, 26), got 26"),
     (lambda: brute_force(encrypt(b"x", KEYS[0]), cap_b=0), "cap_b must be in [1, 256), got 0"),
     (lambda: alphabet_size("bogus"), "mode must be one of ['byte', 'letters'], got 'bogus'"),
     (lambda: mod_inverse(3, 1), "modulus must be >= 2, got 1"),
+    (lambda: mod_inverse(3, 1.5), "modulus must be an int, got 1.5"),
+    (lambda: mod_inverse(3, 2.5), "modulus must be an int, got 2.5"),
+    (lambda: mod_inverse(3.0, 7), "m must be an int, got 3.0"),
     (lambda: lane_table(KEYS[0], "x"), "unknown lane 'x'"),
     (lambda: iterate_encrypt([300], KEYS[0], LANE_AFFINE), "symbol 300 outside [0, 256)"),
+    (lambda: iterate_encrypt(["a"], KEYS[0], LANE_AFFINE), "symbol 'a' outside [0, 256)"),
+    (lambda: iterate_encrypt([None], KEYS[0], LANE_AFFINE), "symbol None outside [0, 256)"),
+    (lambda: iterate_encrypt([1.0], KEYS[0], LANE_AFFINE), "symbol 1.0 outside [0, 256)"),
+    (lambda: iterate_decrypt(["a"], KEYS[0], LANE_CAESAR), "symbol 'a' outside [0, 256)"),
     (lambda: format_ciphertext(encrypt(b"x", KEYS[0]), "xml"),
      "format must be 'bits' or 'hex', got 'xml'"),
     (lambda: encrypt([256], KEYS[0]), "plaintext values must be bytes in [0, 256)"),
@@ -49,14 +66,19 @@ KEYS = (
     (lambda: encrypt(5, KEYS[0]), "plaintext values must be bytes in [0, 256)"),
     (lambda: frequency_profile([1.5], 4), "values must be ints in [0, 4)"),
     (lambda: frequency_profile(["a"], 4), "values must be ints in [0, 4)"),
+    (lambda: frequency_profile(b"ab", n="x"), "n must be an int, got 'x'"),
+    (lambda: frequency_profile([5], 4), "value 5 outside [0, 4)"),
     (lambda: keyspace_size(27, 1, 1), "n must be 26 or 256, got 27"),
     (lambda: keyspace_size(256, 300, 300), "cap_b must be in [1, 256), got 300"),
     (lambda: keyspace_size(256.0, 1, 1), "n must be 26 or 256, got 256.0"),
     (lambda: keyspace_size(256, 1, 1.5), "cap_k must be in [1, 256), got 1.5"),
-], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "_check_caps", "brute_force",
-        "alphabet_size", "mod_inverse", "lane_table", "iterate_encrypt", "format_ciphertext",
-        "encrypt-256", "encrypt-float", "encrypt-str", "encrypt-None", "encrypt-int",
-        "frequency_profile-float", "frequency_profile-str", "keyspace_size-n",
+], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "build_permutation-str",
+        "build_permutation-float", "_check_caps", "brute_force", "alphabet_size", "mod_inverse",
+        "mod_inverse-float-1.5", "mod_inverse-float-n", "mod_inverse-float-m", "lane_table",
+        "iterate_encrypt", "iterate_encrypt-str", "iterate_encrypt-None", "iterate_encrypt-float",
+        "iterate_decrypt-str", "format_ciphertext", "encrypt-256", "encrypt-float", "encrypt-str",
+        "encrypt-None", "encrypt-int", "frequency_profile-float", "frequency_profile-str",
+        "frequency_profile-str-n", "frequency_profile-range", "keyspace_size-n",
         "keyspace_size-caps", "keyspace_size-float-n", "keyspace_size-float-cap"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
