@@ -22,6 +22,11 @@ order_of) with sys.setprofile: over the crack pools at default caps with
 english_score and with printable_ratio, and on 34 B of 'a' at byte caps
 255 with english_score.
 
+Last, it runs the attacks on seed 1's pool and the edge-case messages
+again, with every cache in paddycrypt.analysis cleared before each attack,
+and prints "cold caches: <count> outcomes, same" when every outcome equals
+its warm-cache one ("differ", and exit status 1, otherwise).
+
 The package comes from PYTHONPATH, the pools from this checkout's bench/:
 
     PYTHONPATH=src python scripts/attack_digest.py
@@ -46,13 +51,15 @@ SCORERS = [analysis.english_score, analysis.printable_ratio,
 MIN_SCORES = [None, 0.5, 0.95]
 
 
-def ciphertexts():
-    """(ciphertext, mode) pairs: the crack pools of seeds 1-10, then the
-    edge-case messages."""
+def pool(seed):
+    """The (ciphertext, mode) pairs of the benchmark crack pool of seed."""
+    crack = Crack(seed, ".", 35)
+    return [crack.prepare(paddycrypt, item) for item in islice(crack.items(), crack.pool)]
+
+
+def edge_cases():
+    """(ciphertext, mode) pairs of the edge-case messages."""
     out = []
-    for seed in range(1, 11):
-        crack = Crack(seed, ".", 35)
-        out += [crack.prepare(paddycrypt, item) for item in islice(crack.items(), crack.pool)]
     byte_key = CipherParams(n=256, m=3, b=5, k=7, ra=2, rc=4)
     letters_key = CipherParams(n=26, m=5, b=3, k=4, ra=2, rc=3)
     for message, key in ((b"a" * 34, byte_key), (b"", byte_key), (b"", letters_key),
@@ -70,19 +77,33 @@ def outcome(attack, *args, **kwargs):
             r.effective_shift)
 
 
-def digest(pairs) -> tuple[int, str]:
-    h, count = hashlib.sha256(), 0
+def clear_caches() -> None:
+    for value in vars(analysis).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def outcomes(pairs, cold=False):
+    """The repr of each outcome over pairs, in digest order; cold clears
+    every cache in paddycrypt.analysis before each attack."""
     for ciphertext, mode in pairs:
         for scorer in SCORERS:
             for min_score in MIN_SCORES:
-                results = [outcome(analysis.caesar_lane_attack, ciphertext, scorer,
-                                   mode=mode, min_score=min_score)]
-                results += [outcome(analysis.brute_force, ciphertext, scorer, mode=mode,
-                                    cap_b=cap_b, cap_k=cap_k, min_score=min_score)
+                attacks = [(analysis.caesar_lane_attack, {})]
+                attacks += [(analysis.brute_force, {"cap_b": cap_b, "cap_k": cap_k})
                             for cap_b, cap_k in CAPS[mode]]
-                for result in results:
-                    h.update(repr(result).encode())
-                    count += 1
+                for attack, caps in attacks:
+                    if cold:
+                        clear_caches()
+                    yield repr(outcome(attack, ciphertext, scorer, mode=mode,
+                                       min_score=min_score, **caps))
+
+
+def digest(pairs) -> tuple[int, str]:
+    h, count = hashlib.sha256(), 0
+    for result in outcomes(pairs):
+        h.update(result.encode())
+        count += 1
     return count, h.hexdigest()
 
 
@@ -105,17 +126,22 @@ def readbacks(pairs, scorer, caps=None) -> int:
     return calls
 
 
-def main() -> None:
-    pairs = ciphertexts()
-    count, hexdigest = digest(pairs)
+def main() -> int:
+    pools = [pair for seed in range(1, 11) for pair in pool(seed)]
+    edges = edge_cases()
+    count, hexdigest = digest(pools + edges)
     print(f"outcomes {count} sha256 {hexdigest}")
-    pools = pairs[:840]
     print("readbacks, crack pools, english_score:", readbacks(pools, analysis.english_score))
     print("readbacks, crack pools, printable_ratio:", readbacks(pools, analysis.printable_ratio))
     constant = [(encrypt(b"a" * 34, CipherParams(n=256, m=3, b=5, k=7, ra=2, rc=4)), "byte")]
     print("readbacks, 34 B of 'a' at byte caps 255, english_score:",
           readbacks(constant, analysis.english_score, (255, 255)))
+    pairs = pool(1) + edges
+    warm = list(outcomes(pairs))
+    same = list(outcomes(pairs, cold=True)) == warm
+    print(f"cold caches: {len(warm)} outcomes, {'same' if same else 'differ'}")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -46,7 +46,7 @@ from .ciphers import (
     iterated_affine,
     lane_table,
 )
-from .errors import InvalidArgument, NotFound
+from .errors import InvalidArgument, NotFound, check_type
 from .pipeline import CipherText, _plaintext_codes
 
 # Relative letter frequencies in running English text (A..Z).
@@ -247,7 +247,9 @@ def brute_force(
     key's lanes agree exactly when lane_a = M*lane_b + C with C = B - M*s.
     The units M that fit the lanes (usually one) fix C.  One byte row per k
     holds the shifts k*rc, and one row per root (m, ra) of each M the
-    values b*T, b = ra..cap_b, which give the shifts s = (B - C)/M.  A
+    values b*T, b = ra..cap_b; their union per M gives the shifts s =
+    (B - C)/M through one translate.  The rows and unions depend only on
+    (mode, caps, M), so each is built once, in a bounded cache.  A
     shift in rows of both kinds agrees and gives one text, lane_b - s,
     scored as in caesar_lane_attack.  Ties go to the smallest (m, b, k,
     ra, rc) at a shift, read from the rows once all scoring is done and
@@ -255,6 +257,7 @@ def brute_force(
     still the whole grid, keyspace_size(n, cap_b, cap_k).  Raises NotFound
     when no key's lanes agree (above min_score).
     """
+    check_type("ciphertext", ciphertext, CipherText)
     n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
@@ -263,22 +266,11 @@ def brute_force(
     check_lane_codes(codes_a, n)
     check_lane_codes(codes_b, n)
     codes = LANE_CODES[n]
-
-    # Row k holds the codes of the shifts k*rc, rc = 1..k, up to full reach.
-    k_rows, reachable = [], set()
-    for k in range(1, cap_k + 1):
-        k_rows.append(codes[1:k + 1].translate(_times(n, k)))
-        reachable.update(k_rows[-1])
-        if len(reachable) == n:
-            break
+    k_rows, reachable = _k_rows(n, cap_k)
 
     # Every key agrees on the empty text and every shift ties on it, so the
     # fit (1, 0) of the smallest key, (1, 1, 1, 1, 1) at shift 1, is enough.
     fits = _lane_fits(codes_a, codes_b, n) if codes_b else [(1, 0)]
-
-    @functools.cache  # root (m, ra) -> the codes of B = b*T, b = ra..cap_b
-    def b_row(m, ra):
-        return codes[ra:cap_b + 1].translate(_times(n, iterated_affine(m, 1, ra, n)[1]))
 
     # Shift s agrees through B = C + M*s, so s = M^-1*(B - C).
     agreeing = set()
@@ -286,11 +278,7 @@ def brute_force(
         if len(agreeing) == n:
             break
         inverse = pow(M, -1, n)
-        to_shift = affine_table(n, inverse, -inverse * C % n)
-        for m, ra in _roots(M, n, cap_b):
-            agreeing.update(b_row(m, ra).translate(to_shift))
-            if len(agreeing) == n:
-                break
+        agreeing.update(_b_codes(n, cap_b, M).translate(affine_table(n, inverse, -inverse * C % n)))
     agreeing &= reachable
 
     def order_of(s):
@@ -303,8 +291,8 @@ def brute_force(
             for m, e, order in _power_roots(n)[M]:  # the roots of M, as in _roots
                 if best and m > best[0]:
                     break
-                for ra in range(e, cap_b + 1, order):
-                    i = b_row(m, ra).find(target)
+                for ra, row in zip(range(e, cap_b + 1, order), _b_rows(n, cap_b, m, e, order)):
+                    i = row.find(target)
                     if i >= 0 and (best is None or (m, ra + i, ra) < best):
                         best = (m, ra + i, ra)
         m, b, ra = best
@@ -346,6 +334,50 @@ def _roots(M: int, n: int, cap_b: int) -> list[tuple[int, int]]:
     (m, ra) order: m's powers repeat every order steps, so m^ra = M exactly
     when ra = e (mod order)."""
     return [(m, ra) for m, e, order in _power_roots(n)[M] for ra in range(e, cap_b + 1, order)]
+
+
+# brute_force's agreement tables depend on the alphabet, the caps and the
+# unit M alone, never on the message, so each is built once.  The bounds
+# hold every table that the default caps of both modes use (140 units M,
+# 2,348 roots (m, ra), 1,956 runs of roots of one m), with room to spare.
+
+@functools.lru_cache(maxsize=64)
+def _k_rows(n: int, cap_k: int) -> tuple[tuple[bytes, ...], frozenset[int]]:
+    """(rows, reachable): row k - 1 holds the codes of the shifts k*rc,
+    rc = 1..k, for k = 1..cap_k until every shift is reachable, and
+    reachable the codes of the shifts that the rows hold."""
+    codes = LANE_CODES[n]
+    rows, reachable = [], set()
+    for k in range(1, cap_k + 1):
+        rows.append(codes[1:k + 1].translate(_times(n, k)))
+        reachable.update(rows[-1])
+        if len(reachable) == n:
+            break
+    return tuple(rows), frozenset(reachable)
+
+
+@functools.lru_cache(maxsize=4096)
+def _b_row(n: int, cap_b: int, m: int, ra: int) -> bytes:
+    """The codes of B = b*T, b = ra..cap_b, T = 1 + m + ... + m^(ra-1)."""
+    return LANE_CODES[n][ra:cap_b + 1].translate(_times(n, iterated_affine(m, 1, ra, n)[1]))
+
+
+@functools.lru_cache(maxsize=4096)
+def _b_rows(n: int, cap_b: int, m: int, e: int, order: int) -> tuple[bytes, ...]:
+    """The _b_row of each root (m, ra), ra = e, e + order, ... <= cap_b."""
+    return tuple(_b_row(n, cap_b, m, ra) for ra in range(e, cap_b + 1, order))
+
+
+@functools.lru_cache(maxsize=512)
+def _b_codes(n: int, cap_b: int, M: int) -> bytes:
+    """The codes of every B = b*T over the roots (m, ra) of M, sorted: the
+    union of their _b_row, read in (m, ra) order until it holds n."""
+    union = set()
+    for m, ra in _roots(M, n, cap_b):
+        union.update(_b_row(n, cap_b, m, ra))
+        if len(union) == n:
+            break
+    return bytes(sorted(union))
 
 
 # Per alphabet size, the symbols coded as letters, a run of 26 in letter
@@ -464,6 +496,7 @@ def caesar_lane_attack(
     scorer gets all n texts.  Ties go to the smallest shift.  No full key is
     recovered; the result carries the winning shift and plaintext.
     """
+    check_type("ciphertext", ciphertext, CipherText)
     n = alphabet_size(mode)
     start = time.perf_counter()
 

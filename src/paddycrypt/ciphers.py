@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import gcd
 
-from .errors import InvalidArgument, InvalidKey, IterationBoundExceeded, NoInverse, NonLetterOutput
+from .errors import (
+    InvalidArgument,
+    InvalidKey,
+    IterationBoundExceeded,
+    NoInverse,
+    NonLetterOutput,
+    check_type,
+)
 
 LANE_AFFINE = "affine"
 LANE_CAESAR = "caesar"
@@ -138,6 +145,7 @@ def affine_table(n: int, m: int, b: int) -> bytes:
 def lane_table(params: CipherParams, lane: str, decrypt: bool = False) -> bytes:
     """The step s -> m*s + b (caesar: m = 1, b = k) applied ra (affine) or rc
     (caesar) times, as a ``bytes.translate`` table; decrypt=True inverts it."""
+    check_type("key", params, CipherParams)
     n = params.n
     if lane == LANE_AFFINE:
         m, b, rounds, bound, name = params.m, params.b, params.ra, params.b, "ra"

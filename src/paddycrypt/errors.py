@@ -57,3 +57,10 @@ class ParseError(CipherError):
 
 class NotFound(CipherError):
     """No attack candidate passed the agreement filter and score threshold."""
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """Raise InvalidArgument unless value is a cls.  The message names the
+    value's type, not the value, whose repr could run to megabytes."""
+    if not isinstance(value, cls):
+        raise InvalidArgument(f"{name} must be a {cls.__name__}, got {type(value).__name__}")

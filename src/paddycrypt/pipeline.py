@@ -42,6 +42,7 @@ from .errors import (
     InvalidKey,
     NonLetterInput,
     ParseError,
+    check_type,
 )
 
 KEY_FIELDS = ("mode", "n", "m", "b", "k", "ra", "rc")
@@ -147,6 +148,7 @@ def _plaintext_codes(plaintext, key: CipherParams) -> bytes:
         data = bytes(plaintext)
     except (TypeError, ValueError):
         raise InvalidArgument("plaintext values must be bytes in [0, 256)") from None
+    check_type("key", key, CipherParams)
     if key.mode == "letters":
         bad = data.translate(None, _LETTERS)
         if bad:
@@ -160,8 +162,8 @@ def encrypt(plaintext, key: CipherParams) -> CipherText:
 
     The affine and caesar lanes each encrypt the whole message; their bit
     expansions are interleaved through the planting/harvest permutation.
-    A plaintext that is not bytes or a sequence of ints in [0, 256) raises
-    InvalidArgument, a CipherError.
+    A plaintext that is not bytes or a sequence of ints in [0, 256), or a
+    key that is not a CipherParams, raises InvalidArgument, a CipherError.
     """
     data = _plaintext_codes(plaintext, key)
     return CipherText.from_packed(
@@ -175,6 +177,7 @@ def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
     corrupted bit or wrong key causes; its indices name the symbols whose
     lanes differ.
     """
+    check_type("ciphertext", ciphertext, CipherText)
     plain_a, plain_b = deinterleave(ciphertext.packed,
                                     lane_table(key, LANE_AFFINE, decrypt=True),
                                     lane_table(key, LANE_CAESAR, decrypt=True))
@@ -210,6 +213,7 @@ def keygen(mode: str = "byte", seed=None) -> CipherParams:
 
 def serialize_key(key: CipherParams) -> str:
     """Render a key in the line-based key-file format."""
+    check_type("key", key, CipherParams)
     return "".join(f"{name}={getattr(key, name)}\n" for name in KEY_FIELDS)
 
 
@@ -258,6 +262,7 @@ def parse_key(text: str) -> CipherParams:
 def format_ciphertext(ciphertext: CipherText, fmt: str = "bits") -> str:
     """Ciphertext file body: a line of 0/1 digits, or a hex line after a
     'fmt=hex' header."""
+    check_type("ciphertext", ciphertext, CipherText)
     if fmt == "bits":
         return ciphertext.to_bitstring() + "\n"
     if fmt == "hex":

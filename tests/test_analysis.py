@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paddycrypt import analysis
 from paddycrypt.analysis import (
     ENGLISH_LETTER_FREQ,
     AttackResult,
@@ -17,7 +18,12 @@ from paddycrypt.analysis import (
     attack_csv,
     avalanche,
     avalanche_csv,
+    _b_codes,
+    _b_row,
+    _b_rows,
+    _k_rows,
     _lane_fits,
+    _power_roots,
     _roots,
     _score_counts,
     brute_force,
@@ -496,6 +502,65 @@ def test_brute_force_memory_is_bounded_by_n_times_message():
         tracemalloc.stop()
     assert result.plaintext == message
     assert peak < 2 * 256 * 4096
+
+
+def clear_analysis_caches():
+    for value in vars(analysis).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+# Per mode, a message and two keys whose units M = m^ra differ.
+TABLE_CASES = pytest.mark.parametrize("mode,message,keys", [
+    ("byte", ATTACK_MESSAGE,
+     (CipherParams(256, 5, 3, 4, 2, 3), CipherParams(256, 7, 10, 11, 3, 5))),
+    ("letters", b"MEETMEATTHEUSUALPLACEATNOON",
+     (CipherParams(26, 3, 2, 4, 2, 3), CipherParams(26, 7, 5, 3, 1, 2))),
+], ids=["byte", "letters"])
+
+
+@TABLE_CASES
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_brute_force_tables_match_join_oracle_as_caps_and_units_change(mode, message, keys, cold):
+    # The agreement tables are cached per (mode, caps, M): small caps, then
+    # larger ones, then the small ones again must each read their own.
+    assert len({pow(key.m, key.ra, key.n) for key in keys}) == 2
+    for key in keys:
+        ct = encrypt(message, key)
+        for cap_b, cap_k in ((3, 5), (16, 16), (3, 5)):
+            for scorer in (english_score, printable_ratio):
+                if cold:
+                    clear_analysis_caches()
+                args = (ct, scorer, mode, cap_b, cap_k)
+                assert attack_outcome(brute_force, *args) == attack_outcome(join_oracle, *args)
+
+
+def test_agreement_table_caches_are_bounded_and_hold_the_default_caps():
+    # The crack workload's steady state, both modes at their default caps
+    # (byte 16, letters 25), fits without eviction: every k row set, every
+    # unit M's union, every root's row and every unit m's rows for M.
+    for cached in (_k_rows, _b_row, _b_rows, _b_codes):
+        assert cached.cache_info().maxsize is not None
+    clear_analysis_caches()
+    units = roots = chains = 0
+    for n, cap in ((256, 16), (26, 25)):
+        _k_rows(n, cap)
+        for M in range(1, n):
+            if math.gcd(M, n) == 1:
+                units += 1
+                _b_codes(n, cap, M)
+                for m, ra in _roots(M, n, cap):
+                    roots += 1
+                    _b_row(n, cap, m, ra)
+                for m, e, order in _power_roots(n)[M]:
+                    if e <= cap:
+                        chains += 1
+                        _b_rows(n, cap, m, e, order)
+    assert (units, roots, chains) == (128 + 12, 2348, 1956)
+    assert _k_rows.cache_info().currsize == 2
+    assert _b_codes.cache_info().currsize == units
+    assert _b_row.cache_info().currsize == roots
+    assert _b_rows.cache_info().currsize == chains
 
 
 def walk_roots(n, cap_b):

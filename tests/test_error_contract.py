@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paddycrypt.analysis import _check_caps, brute_force, frequency_profile, keyspace_size
+from paddycrypt.analysis import (
+    _check_caps,
+    avalanche,
+    brute_force,
+    caesar_lane_attack,
+    frequency_profile,
+    keyspace_size,
+)
 from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
 from paddycrypt.ciphers import (
     LANE_AFFINE,
@@ -72,6 +79,18 @@ KEYS = (
     (lambda: keyspace_size(256, 300, 300), "cap_b must be in [1, 256), got 300"),
     (lambda: keyspace_size(256.0, 1, 1), "n must be 26 or 256, got 256.0"),
     (lambda: keyspace_size(256, 1, 1.5), "cap_k must be in [1, 256), got 1.5"),
+    # A ciphertext or key of the wrong type is named by its type alone.
+    (lambda: decrypt(encrypt(b"x", KEYS[0]).packed, KEYS[0]),
+     "ciphertext must be a CipherText, got bytes"),
+    (lambda: format_ciphertext("0" * 16), "ciphertext must be a CipherText, got str"),
+    (lambda: brute_force(b"\0" * 4), "ciphertext must be a CipherText, got bytes"),
+    (lambda: caesar_lane_attack(None), "ciphertext must be a CipherText, got NoneType"),
+    (lambda: encrypt(b"x", "mode=byte"), "key must be a CipherParams, got str"),
+    (lambda: decrypt(encrypt(b"x", KEYS[0]), {"n": 256}), "key must be a CipherParams, got dict"),
+    (lambda: avalanche(b"x", None), "key must be a CipherParams, got NoneType"),
+    (lambda: lane_table((256, 3, 7, 5, 2, 4), LANE_AFFINE),
+     "key must be a CipherParams, got tuple"),
+    (lambda: serialize_key("mode=byte"), "key must be a CipherParams, got str"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "build_permutation-str",
         "build_permutation-float", "_check_caps", "brute_force", "alphabet_size", "mod_inverse",
         "mod_inverse-float-1.5", "mod_inverse-float-n", "mod_inverse-float-m", "lane_table",
@@ -79,7 +98,10 @@ KEYS = (
         "iterate_decrypt-str", "format_ciphertext", "encrypt-256", "encrypt-float", "encrypt-str",
         "encrypt-None", "encrypt-int", "frequency_profile-float", "frequency_profile-str",
         "frequency_profile-str-n", "frequency_profile-range", "keyspace_size-n",
-        "keyspace_size-caps", "keyspace_size-float-n", "keyspace_size-float-cap"])
+        "keyspace_size-caps", "keyspace_size-float-n", "keyspace_size-float-cap",
+        "decrypt-ciphertext", "format_ciphertext-ciphertext", "brute_force-ciphertext",
+        "caesar_lane_attack-ciphertext", "encrypt-key", "decrypt-key", "avalanche-key",
+        "lane_table-key", "serialize_key-key"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
         call()
