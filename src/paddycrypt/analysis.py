@@ -220,6 +220,7 @@ def _unit_count(n: int) -> int:
 
 def is_degenerate_key(key: CipherParams) -> bool:
     """True when the affine lane collapses to a bare shift (m^ra = 1 mod n)."""
+    check_type("key", key, CipherParams)
     return pow(key.m, key.ra, key.n) == 1
 
 
@@ -540,14 +541,27 @@ def avalanche(plaintext: bytes, key: CipherParams) -> list[DiffusionReport]:
     return list(map(DiffusionReport, range(8 * len(data)), fractions))
 
 
+def _check_reports(reports) -> None:
+    """Raise InvalidArgument naming the type of the first report that is
+    not a DiffusionReport.  Called only once reading a report has failed, so
+    a list of reports is not checked item by item on the way."""
+    for report in reports:
+        check_type("report", report, DiffusionReport)
+
+
 def mean_fraction(reports) -> float:
     if not reports:
         return 0.0
-    return sum(r.ciphertext_hamming_fraction for r in reports) / len(reports)
+    try:
+        return sum(r.ciphertext_hamming_fraction for r in reports) / len(reports)
+    except AttributeError:
+        _check_reports(reports)
+        raise
 
 
 def attack_csv(result: AttackResult) -> str:
     """One-row CSV report of an attack outcome, for logging or plotting."""
+    check_type("result", result, AttackResult)
     key = result.recovered_key
     fields = (key.m, key.b, key.k, key.ra, key.rc) if key else ("",) * 5
     row = [result.method, *fields, f"{result.score:.6f}", result.candidates_tried,
@@ -560,9 +574,13 @@ def attack_csv(result: AttackResult) -> str:
 def avalanche_csv(reports) -> str:
     """Per-bit diffusion table; the mean rides along as a trailing comment."""
     lines = ["bit_index,hamming_fraction"]
-    lines.extend(
-        f"{r.input_bit_flipped},{r.ciphertext_hamming_fraction:.6f}" for r in reports
-    )
+    try:
+        lines.extend(
+            f"{r.input_bit_flipped},{r.ciphertext_hamming_fraction:.6f}" for r in reports
+        )
+    except AttributeError:
+        _check_reports(reports)
+        raise
     lines.append(f"# mean_fraction={mean_fraction(reports):.6f}")
     return "\n".join(lines) + "\n"
 

@@ -194,24 +194,75 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_parse(command: argparse.ArgumentParser, argv):
+    """The namespace parse_args gives for argv, a command name and then
+    that command's plain arguments, read straight from the command's own
+    actions; or None when argv is not plain.
+
+    Plain means every argument is the exact option string of a one-value
+    store action followed by its value, a store_true flag, or the one bare
+    token that fills the command's positional INPUT; no value or bare token
+    starts with "-" except "-" itself, which argparse also reads as a value.
+    A value its type or choices reject, or a required option left out, also
+    gives None, so that argparse words the usage error.
+    """
+    seen = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = command._option_string_actions.get(token)
+        if type(action) is argparse._StoreTrueAction:
+            seen[action] = True
+            continue
+        if action is None:  # a bare token, or an option argparse must read
+            action = next((a for a in command._actions if not a.option_strings), None)
+            if action is None or action.nargs != "?" or action in seen:
+                return None
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            token = next(tokens, "--")  # a missing value is not plain
+        else:  # help, or an action that takes other than one value
+            return None
+        if token[:1] == "-" and token != "-":
+            return None
+        try:
+            value = action.type(token) if action.type else token
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen[action] = value
+    args = argparse.Namespace(command=argv[0])
+    for action in command._actions:
+        if action in seen:
+            setattr(args, action.dest, seen[action])
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:  # all but help
+            setattr(args, action.dest, action.default)
+    for name, value in command._defaults.items():  # func, read on every call
+        setattr(args, name, value)
+    return args
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # help, or a missing or unknown command: a usage error
-        args = parser.parse_args(argv)
-    else:
-        # What parse_args does once it has read the command name, without
-        # the top-level pass over the whole argv.
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    # Some argparse versions turn an explicit "--text=--" into []; the
-    # value given was the literal "--".
-    for name, value in vars(args).items():
-        if value == []:
-            setattr(args, name, "--")
+    args = None if command is None else _plain_parse(command, argv)
+    if args is None:  # argparse reads the rest and words every usage error
+        if command is None:  # help, or a missing or unknown command
+            args = parser.parse_args(argv)
+        else:
+            # What parse_args does once it has read the command name,
+            # without the top-level pass over the whole argv.
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        # Some argparse versions turn an explicit "--text=--" into []; the
+        # value given was the literal "--".
+        for name, value in vars(args).items():
+            if value == []:
+                setattr(args, name, "--")
     if args.command == "crack":
         try:
             analysis._check_caps(ciphers.alphabet_size(args.mode), args.cap_b, args.cap_k)

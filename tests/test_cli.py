@@ -10,8 +10,13 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paddycrypt.analysis import _check_caps
+from paddycrypt.ciphers import alphabet_size
 from paddycrypt.cli import _build_parser, main
+from paddycrypt.errors import InvalidArgument
 from paddycrypt.pipeline import (
     CipherParams,
     decrypt,
@@ -467,6 +472,8 @@ DISPATCH_ARGVS = [
     ["decrypt", "ct", "--key", "k", "--bogus=1", "-z"],
     ["keygen", "--seed", "three"],
     ["crack", "--cap-b"],
+    ["crack", "--cap-b", "300"],
+    ["crack", "--mode", "letters", "--cap-k", "-5"],
     ["encrypt", "--text", "x"],
     ["avalanche", "--text", "x"],
     ["encrypt", "--text", "x", "--key", "k", "--format", "morse"],
@@ -477,6 +484,30 @@ DISPATCH_ARGVS = [
     ["--bogus", "encrypt"],
     ["encode", "--key", "k"],
     ["Encrypt"],
+]
+
+
+# Values for mixed argvs: plain ones, and ones argparse must read ("-" is
+# plain; "--", "-5" and "--key=k" are not).
+ARGV_VALUES = ["x", "-", "--", "", "3", "-5", "\u0663", "hex", "letters", "caesar-lane",
+               "printable", "0.5", "--key=k", "extra"]
+
+# The argv shapes of the README's CLI examples and of the benchmark's
+# messages op, all plain; run in this order in one directory.
+PLAIN_ARGVS = [
+    ["keygen", "--seed", "7", "-o", "field.key"],
+    ["encrypt", "note.txt", "--key", "field.key", "--format", "bits", "-o", "note.ct"],
+    ["decrypt", "note.ct", "--key", "field.key", "-o", "note.out"],
+    ["encrypt", "note.txt", "--key", "field.key", "-o", "note.ct"],
+    ["encrypt", "--text", "inline works too", "--key", "field.key"],
+    ["crack", "note.ct", "--cap-b", "8", "--cap-k", "8", "-o", "recovered.key",
+     "--report", "attack.csv"],
+    ["crack", "note.ct", "--method", "caesar-lane"],
+    ["avalanche", "note.txt", "--key", "field.key", "-o", "diffusion.csv"],
+    ["freq", "note.ct", "--bits"],
+    ["freq", "--bits", "--text", "0101010101010111"],
+    ["encrypt", "note.txt", "--key", "field.key", "--format", "hex", "-o", "note.ct"],
+    ["decrypt", "note.ct", "--key", "field.key", "-o", "note.out"],
 ]
 
 
@@ -495,7 +526,8 @@ def check_dispatch_matches_a_full_parse(argv):
     """main(argv), with each command's func replaced by a recorder, ends
     as a fresh parser's parse_args(argv) does: the same namespace (bar
     func, and with main's "--text=--" repair), exit code and output.  An
-    INPUT given with --text is refused by main before the command runs."""
+    INPUT given with --text, and a crack cap out of range, are refused by
+    main before the command runs."""
     commands = _build_parser().commands
     funcs = {name: command.get_default("func") for name, command in commands.items()}
     seen = []
@@ -506,9 +538,17 @@ def check_dispatch_matches_a_full_parse(argv):
     finally:
         for name, command in commands.items():
             command.set_defaults(func=funcs[name])
-    parsed, out, err = _outcome(_build_parser.__wrapped__().parse_args, list(argv))
+    fresh = _build_parser.__wrapped__()
+    parsed, out, err = _outcome(fresh.parse_args, list(argv))
     if isinstance(parsed, argparse.Namespace):
         assert parsed.func is funcs[argv[0]]
+        if parsed.command == "crack":  # main refuses out-of-range caps as a usage error
+            try:
+                _check_caps(alphabet_size(parsed.mode), parsed.cap_b, parsed.cap_k)
+            except InvalidArgument as caps:
+                assert seen == []
+                assert dispatched == _outcome(fresh.error, str(caps))
+                return
         if getattr(parsed, "text", None) is not None and parsed.input is not None:
             assert seen == []
             assert dispatched == (1, "", "error: give either an input path or --text, not both\n")
@@ -551,3 +591,35 @@ class TestParserReuse:
     @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
     def test_dispatch_matches_a_full_parse(self, argv):
         check_dispatch_matches_a_full_parse(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.sampled_from(sorted(_build_parser().commands)).flatmap(
+        lambda name: st.lists(
+            st.sampled_from(sorted(_build_parser().commands[name]._option_string_actions)
+                            + ARGV_VALUES),
+            max_size=8,
+        ).map(lambda rest: [name, *rest])))
+    def test_dispatch_matches_a_full_parse_on_mixed_argvs(self, argv):
+        check_dispatch_matches_a_full_parse(argv)
+
+    def test_plain_argvs_need_no_argparse_pass(self, tmp_path, monkeypatch, capsysbinary):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain argv")
+
+        outcomes = []
+        for patched in (False, True):
+            work = tmp_path / str(patched)
+            work.mkdir()
+            (work / "note.txt").write_bytes(b"meet me at the usual place at noon")
+            monkeypatch.chdir(work)
+            with monkeypatch.context() as patch:
+                if patched:
+                    patch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+                codes = [main(list(argv)) for argv in PLAIN_ARGVS]
+            files = {path.name: path.read_bytes() for path in work.iterdir()}
+            report = [line.split(",") for line in files.pop("attack.csv").decode().splitlines()]
+            elapsed = report[0].index("elapsed_s")
+            report = [row[:elapsed] + row[elapsed + 1:] for row in report]
+            outcomes.append((codes, capsysbinary.readouterr(), files, report))
+        assert outcomes[0][0] == [0] * len(PLAIN_ARGVS)
+        assert outcomes[0] == outcomes[1]

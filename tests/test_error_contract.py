@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from paddycrypt.analysis import (
     _check_caps,
+    attack_csv,
     avalanche,
+    avalanche_csv,
     brute_force,
     caesar_lane_attack,
     frequency_profile,
+    is_degenerate_key,
     keyspace_size,
+    mean_fraction,
 )
 from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
 from paddycrypt.ciphers import (
@@ -91,6 +95,10 @@ KEYS = (
     (lambda: lane_table((256, 3, 7, 5, 2, 4), LANE_AFFINE),
      "key must be a CipherParams, got tuple"),
     (lambda: serialize_key("mode=byte"), "key must be a CipherParams, got str"),
+    (lambda: is_degenerate_key("x"), "key must be a CipherParams, got str"),
+    (lambda: attack_csv("x"), "result must be a AttackResult, got str"),
+    (lambda: mean_fraction([1]), "report must be a DiffusionReport, got int"),
+    (lambda: avalanche_csv([1]), "report must be a DiffusionReport, got int"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "build_permutation-str",
         "build_permutation-float", "_check_caps", "brute_force", "alphabet_size", "mod_inverse",
         "mod_inverse-float-1.5", "mod_inverse-float-n", "mod_inverse-float-m", "lane_table",
@@ -101,7 +109,8 @@ KEYS = (
         "keyspace_size-caps", "keyspace_size-float-n", "keyspace_size-float-cap",
         "decrypt-ciphertext", "format_ciphertext-ciphertext", "brute_force-ciphertext",
         "caesar_lane_attack-ciphertext", "encrypt-key", "decrypt-key", "avalanche-key",
-        "lane_table-key", "serialize_key-key"])
+        "lane_table-key", "serialize_key-key", "is_degenerate_key-key", "attack_csv-result",
+        "mean_fraction-report", "avalanche_csv-report"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
         call()
