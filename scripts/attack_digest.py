@@ -17,10 +17,10 @@ The set:
   letters), as (cap_b, cap_k);
 - min_score None, 0.5 and 0.95.
 
-It also counts the calls to brute_force's key readback (the closure
-order_of) with sys.setprofile: over the crack pools at default caps with
-english_score and with printable_ratio, and on 34 B of 'a' at byte caps
-255 with english_score.
+It also counts the calls to brute_force's key readback, the function
+analysis._smallest_key, with sys.setprofile: over the crack pools at
+default caps with english_score and with printable_ratio, and on 34 B of
+'a' at byte caps 255 with english_score.
 
 Last, it runs the attacks on seed 1's pool and the edge-case messages
 again, with every cache in paddycrypt.analysis cleared before each attack,
@@ -108,12 +108,12 @@ def digest(pairs) -> tuple[int, str]:
 
 
 def readbacks(pairs, scorer, caps=None) -> int:
-    """Calls to brute_force's order_of over pairs at default or given caps."""
+    """Calls to analysis._smallest_key over pairs at default or given caps."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_name == "order_of":
+        if event == "call" and frame.f_code.co_name == "_smallest_key":
             calls += 1
 
     for ciphertext, mode in pairs:

@@ -28,9 +28,11 @@ import functools
 import math
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import gcd
+from numbers import Real
 from operator import add, sub
 from string import ascii_lowercase, ascii_uppercase
 
@@ -230,6 +232,12 @@ def _check_caps(n: int, cap_b: int, cap_k: int) -> None:
             raise InvalidArgument(f"{name} must be in [1, {n}), got {cap!r}")
 
 
+def _check_scoring(scorer, min_score) -> None:
+    check_type("scorer", scorer, Callable)
+    if min_score is not None:
+        check_type("min_score", min_score, Real)
+
+
 def brute_force(
     ciphertext: CipherText,
     scorer=english_score,
@@ -246,19 +254,20 @@ def brute_force(
     The caesar lane is p + s with s = k*rc mod n, and the affine lane is
     M*p + B with M = m^ra and B = b*T, T = 1 + m + ... + m^(ra-1), so a
     key's lanes agree exactly when lane_a = M*lane_b + C with C = B - M*s.
-    The units M that fit the lanes (usually one) fix C.  One byte row per k
-    holds the shifts k*rc, and one row per root (m, ra) of each M the
-    values b*T, b = ra..cap_b; their union per M gives the shifts s =
-    (B - C)/M through one translate.  The rows and unions depend only on
-    (mode, caps, M), so each is built once, in a bounded cache.  A
-    shift in rows of both kinds agrees and gives one text, lane_b - s,
-    scored as in caesar_lane_attack.  Ties go to the smallest (m, b, k,
-    ra, rc) at a shift, read from the rows once all scoring is done and
-    only for the shifts that tie for the best score.  candidates_tried is
-    still the whole grid, keyspace_size(n, cap_b, cap_k).  Raises NotFound
-    when no key's lanes agree (above min_score).
+    The units M that fit the lanes (usually one) fix C.  Two tables, built
+    once per (mode, caps, M) in bounded caches, answer the rest.
+    _caesar_keys maps each shift k*rc to its smallest (k, rc); _affine_rows
+    holds each root (m, ra) of M with its row of values b*T, b = ra..cap_b,
+    and the sorted codes the rows reach, which give the shifts s = (B -
+    C)/M through one translate.  A shift in both agrees and gives one text,
+    lane_b - s, scored as in caesar_lane_attack.  Ties go to the smallest
+    (m, b, k, ra, rc) at a shift, which _smallest_key reads from the tables
+    once all scoring is done, only for the shifts that tie.
+    candidates_tried is still the whole grid, keyspace_size(n, cap_b,
+    cap_k).  Raises NotFound when no key's lanes agree (above min_score).
     """
     check_type("ciphertext", ciphertext, CipherText)
+    _check_scoring(scorer, min_score)
     n = alphabet_size(mode)
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
@@ -267,7 +276,6 @@ def brute_force(
     check_lane_codes(codes_a, n)
     check_lane_codes(codes_b, n)
     codes = LANE_CODES[n]
-    k_rows, reachable = _k_rows(n, cap_k)
 
     # Every key agrees on the empty text and every shift ties on it, so the
     # fit (1, 0) of the smallest key, (1, 1, 1, 1, 1) at shift 1, is enough.
@@ -279,25 +287,9 @@ def brute_force(
         if len(agreeing) == n:
             break
         inverse = pow(M, -1, n)
-        agreeing.update(_b_codes(n, cap_b, M).translate(affine_table(n, inverse, -inverse * C % n)))
-    agreeing &= reachable
-
-    def order_of(s):
-        """The smallest (m, b, k, ra, rc) whose lanes agree at shift s."""
-        code = codes[s]
-        k, rc = next((k, row.find(code) + 1) for k, row in enumerate(k_rows, 1) if code in row)
-        best = None  # the smallest (m, b, ra)
-        for M, C in fits:
-            target = codes[(C + M * s) % n]
-            for m, e, order in _power_roots(n)[M]:  # the roots of M, as in _roots
-                if best and m > best[0]:
-                    break
-                for ra, row in zip(range(e, cap_b + 1, order), _b_rows(n, cap_b, m, e, order)):
-                    i = row.find(target)
-                    if i >= 0 and (best is None or (m, ra + i, ra) < best):
-                        best = (m, ra + i, ra)
-        m, b, ra = best
-        return m, b, k, ra, rc
+        agreeing.update(_affine_rows(n, cap_b, M)[0].translate(
+            affine_table(n, inverse, -inverse * C % n)))
+    agreeing.intersection_update(_caesar_keys(n, cap_k))
 
     best = _best_shift(codes_b, n, [code - codes[0] for code in agreeing], scorer, min_score)
     if best is None:
@@ -305,7 +297,7 @@ def brute_force(
             f"no key with b<={cap_b}, k<={cap_k} produced agreeing lanes above the threshold"
         )
     score, tied = best
-    order, s = min((order_of(s), s) for s in tied)
+    order, s = min((_smallest_key(n, cap_b, cap_k, fits, s), s) for s in tied)
     text = codes_b.translate(affine_table(n, 1, -s % n))
     elapsed = time.perf_counter() - start
     keyspace = keyspace_size(n, cap_b, cap_k)
@@ -330,55 +322,61 @@ def _power_roots(n: int) -> dict[int, list[tuple[int, int, int]]]:
     return table
 
 
-def _roots(M: int, n: int, cap_b: int) -> list[tuple[int, int]]:
-    """Every (m, ra) with ra <= cap_b and m^ra = M (mod n), M a unit, in
-    (m, ra) order: m's powers repeat every order steps, so m^ra = M exactly
-    when ra = e (mod order)."""
-    return [(m, ra) for m, e, order in _power_roots(n)[M] for ra in range(e, cap_b + 1, order)]
-
-
 # brute_force's agreement tables depend on the alphabet, the caps and the
 # unit M alone, never on the message, so each is built once.  The bounds
-# hold every table that the default caps of both modes use (140 units M,
-# 2,348 roots (m, ra), 1,956 runs of roots of one m), with room to spare.
+# hold every table that the default caps of both modes use (2 caesar key
+# tables, 140 units M with 2,348 roots (m, ra) in all), with room to spare.
 
 @functools.lru_cache(maxsize=64)
-def _k_rows(n: int, cap_k: int) -> tuple[tuple[bytes, ...], frozenset[int]]:
-    """(rows, reachable): row k - 1 holds the codes of the shifts k*rc,
-    rc = 1..k, for k = 1..cap_k until every shift is reachable, and
-    reachable the codes of the shifts that the rows hold."""
+def _caesar_keys(n: int, cap_k: int) -> dict[int, tuple[int, int]]:
+    """Code of each shift k*rc (mod n), k <= cap_k, rc <= k -> its smallest
+    (k, rc), filled in (k, rc) order until every shift is reached."""
     codes = LANE_CODES[n]
-    rows, reachable = [], set()
+    keys = {}
     for k in range(1, cap_k + 1):
-        rows.append(codes[1:k + 1].translate(_times(n, k)))
-        reachable.update(rows[-1])
-        if len(reachable) == n:
+        for rc, code in enumerate(codes[1:k + 1].translate(_times(n, k)), 1):
+            keys.setdefault(code, (k, rc))
+        if len(keys) == n:
             break
-    return tuple(rows), frozenset(reachable)
-
-
-@functools.lru_cache(maxsize=4096)
-def _b_row(n: int, cap_b: int, m: int, ra: int) -> bytes:
-    """The codes of B = b*T, b = ra..cap_b, T = 1 + m + ... + m^(ra-1)."""
-    return LANE_CODES[n][ra:cap_b + 1].translate(_times(n, iterated_affine(m, 1, ra, n)[1]))
-
-
-@functools.lru_cache(maxsize=4096)
-def _b_rows(n: int, cap_b: int, m: int, e: int, order: int) -> tuple[bytes, ...]:
-    """The _b_row of each root (m, ra), ra = e, e + order, ... <= cap_b."""
-    return tuple(_b_row(n, cap_b, m, ra) for ra in range(e, cap_b + 1, order))
+    return keys
 
 
 @functools.lru_cache(maxsize=512)
-def _b_codes(n: int, cap_b: int, M: int) -> bytes:
-    """The codes of every B = b*T over the roots (m, ra) of M, sorted: the
-    union of their _b_row, read in (m, ra) order until it holds n."""
-    union = set()
-    for m, ra in _roots(M, n, cap_b):
-        union.update(_b_row(n, cap_b, m, ra))
-        if len(union) == n:
-            break
-    return bytes(sorted(union))
+def _affine_rows(n: int, cap_b: int, M: int) -> tuple[bytes, tuple[tuple[int, int, bytes], ...]]:
+    """(reached, roots): roots has each root (m, ra) of m^ra = M (mod n),
+    ra <= cap_b, in (m, ra) order, with its row, the codes of b*T for b =
+    ra..cap_b, T = 1 + m + ... + m^(ra-1); reached has the rows' codes,
+    sorted.  m's powers repeat every order steps, so ra = e (mod order)."""
+    codes = LANE_CODES[n]
+    roots = tuple(
+        (m, ra, codes[ra:cap_b + 1].translate(_times(n, iterated_affine(m, 1, ra, n)[1])))
+        for m, e, order in _power_roots(n)[M] for ra in range(e, cap_b + 1, order))
+    # The lane codes less those in no row: two C-level deletes.
+    return codes.translate(None, codes.translate(None, b"".join(row for *_, row in roots))), roots
+
+
+def _smallest_key(n: int, cap_b: int, cap_k: int, fits, s: int) -> tuple[int, int, int, int, int]:
+    """The smallest (m, b, k, ra, rc) of the grid whose lanes agree at
+    shift s under one of fits: k*rc = s, and b*T = C + M*s for a root
+    (m, ra) of a fit (M, C).  s must be a shift that agrees."""
+    codes = LANE_CODES[n]
+    k, rc = _caesar_keys(n, cap_k)[codes[s]]
+    roots_of = _power_roots(n)
+    best = None  # the smallest (m, b, ra)
+    for M, C in fits:
+        # A unit whose smallest root is past the best m has no smaller key.
+        if best and roots_of[M][0][0] > best[0]:
+            continue
+        target = codes[(C + M * s) % n]
+        for m, ra, row in _affine_rows(n, cap_b, M)[1]:
+            # b >= ra, so no root past the best (m, b) gives a smaller key.
+            if best and (m, ra) > best[:2]:
+                break
+            i = row.find(target)
+            if i >= 0 and (best is None or (m, ra + i, ra) < best):
+                best = (m, ra + i, ra)
+    m, b, ra = best
+    return m, b, k, ra, rc
 
 
 # Per alphabet size, the symbols coded as letters, a run of 26 in letter
@@ -498,6 +496,7 @@ def caesar_lane_attack(
     recovered; the result carries the winning shift and plaintext.
     """
     check_type("ciphertext", ciphertext, CipherText)
+    _check_scoring(scorer, min_score)
     n = alphabet_size(mode)
     start = time.perf_counter()
 

@@ -44,7 +44,7 @@ def alphabet_size(mode: str) -> int:
     """n for the mode name; raises InvalidArgument for an unknown mode."""
     try:
         return ALPHABET_SIZES[mode]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable mode
         raise InvalidArgument(
             f"mode must be one of {sorted(ALPHABET_SIZES)}, got {mode!r}") from None
 

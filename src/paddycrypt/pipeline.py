@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import re
 from binascii import a2b_hex
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -79,13 +80,23 @@ class CipherText:
     packed: bytes
 
     def __init__(self, cells) -> None:
-        check_bit_count(len(cells))
+        try:
+            count = len(cells)
+        except TypeError:
+            check_type("cells", cells, Sequence)
+            raise
+        check_bit_count(count)
         object.__setattr__(self, "packed", pack_cells(cells))
 
     @classmethod
     def from_packed(cls, raw) -> "CipherText":
         """The ciphertext whose packed bytes are raw (2 per symbol)."""
-        check_bit_count(8 * len(raw))
+        try:
+            count = 8 * len(raw)
+        except TypeError:
+            check_type("raw", raw, bytes)
+            raise
+        check_bit_count(count)
         ciphertext = cls.__new__(cls)
         object.__setattr__(ciphertext, "packed", bytes(raw))
         return ciphertext
@@ -125,16 +136,22 @@ class CipherText:
         except ValueError:
             _check_chars(text, "01", "ciphertext may contain only 0 and 1, got {!r}")
             raise
+        except (TypeError, AttributeError):
+            check_type("text", text, str)
+            raise
         check_bit_count(len(text))
         return cls.from_packed(value.to_bytes(len(text) // 8, "big"))
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":
-        if not len(text) % 4:
-            try:
+        try:
+            if not len(text) % 4:
                 return cls.from_packed(a2b_hex(text))
-            except ValueError:
-                pass
+        except ValueError:
+            pass
+        except TypeError:
+            check_type("text", text, str)
+            raise
         # a2b_hex rejected a non-hex character, reported first, or the length.
         _check_chars(text, _HEX_DIGITS, "invalid hex digit {!r}")
         raise BadLength(f"ciphertext bit count {4 * len(text)} is not a multiple of 16")
@@ -224,8 +241,13 @@ def parse_key(text: str) -> CipherParams:
     ParseError for malformed text and InvalidKey for well-formed text whose
     values violate a key constraint.
     """
+    try:
+        lines = str.splitlines(text)
+    except TypeError:
+        check_type("text", text, str)
+        raise
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -276,7 +298,11 @@ def parse_ciphertext(text: str) -> CipherText:
     The body may span lines: each line is read without the whitespace
     around it, and whitespace within a line is an error.
     """
-    start = _BODY_START.match(text)
+    try:
+        start = _BODY_START.match(text)
+    except TypeError:
+        check_type("text", text, str)
+        raise
     parse = CipherText.from_hex if start[1] else CipherText.from_bitstring
     # Slice the body once, without the whitespace that ends the text:
     # rstrip() on the text would copy it first, so strip only its last 16

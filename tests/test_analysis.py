@@ -18,14 +18,11 @@ from paddycrypt.analysis import (
     attack_csv,
     avalanche,
     avalanche_csv,
-    _b_codes,
-    _b_row,
-    _b_rows,
-    _k_rows,
+    _affine_rows,
+    _caesar_keys,
     _lane_fits,
-    _power_roots,
-    _roots,
     _score_counts,
+    _smallest_key,
     brute_force,
     caesar_lane_attack,
     chi_squared_english,
@@ -44,6 +41,7 @@ from paddycrypt.ciphers import (
     CipherParams,
     affine_table,
     check_lane_codes,
+    iterated_affine,
     lane_table,
     mod_inverse,
 )
@@ -537,35 +535,28 @@ def test_brute_force_tables_match_join_oracle_as_caps_and_units_change(mode, mes
 
 def test_agreement_table_caches_are_bounded_and_hold_the_default_caps():
     # The crack workload's steady state, both modes at their default caps
-    # (byte 16, letters 25), fits without eviction: every k row set, every
-    # unit M's union, every root's row and every unit m's rows for M.
-    for cached in (_k_rows, _b_row, _b_rows, _b_codes):
+    # (byte 16, letters 25), fits without eviction: the caesar keys of each
+    # mode and every unit M's roots with their rows.
+    for cached in (_caesar_keys, _affine_rows):
         assert cached.cache_info().maxsize is not None
     clear_analysis_caches()
-    units = roots = chains = 0
+    units = roots = 0
     for n, cap in ((256, 16), (26, 25)):
-        _k_rows(n, cap)
+        _caesar_keys(n, cap)
         for M in range(1, n):
             if math.gcd(M, n) == 1:
                 units += 1
-                _b_codes(n, cap, M)
-                for m, ra in _roots(M, n, cap):
-                    roots += 1
-                    _b_row(n, cap, m, ra)
-                for m, e, order in _power_roots(n)[M]:
-                    if e <= cap:
-                        chains += 1
-                        _b_rows(n, cap, m, e, order)
-    assert (units, roots, chains) == (128 + 12, 2348, 1956)
-    assert _k_rows.cache_info().currsize == 2
-    assert _b_codes.cache_info().currsize == units
-    assert _b_row.cache_info().currsize == roots
-    assert _b_rows.cache_info().currsize == chains
+                roots += len(_affine_rows(n, cap, M)[1])
+    assert (units, roots) == (128 + 12, 2348)
+    assert _caesar_keys.cache_info().currsize == 2
+    assert _affine_rows.cache_info().currsize == units
+    assert _affine_rows.cache_info().misses == units
 
 
 def walk_roots(n, cap_b):
-    """Reference for _roots: M -> every (m, ra) with ra <= cap_b and
-    m^ra = M, found by walking each unit's powers, in (m, ra) order."""
+    """Reference for _affine_rows's roots: M -> every (m, ra) with ra <=
+    cap_b and m^ra = M, found by walking each unit's powers, in (m, ra)
+    order."""
     roots = {}
     for m in range(1, n):
         if math.gcd(m, n) != 1:
@@ -582,11 +573,62 @@ def walk_roots(n, cap_b):
     (26, range(1, 26)),
 ], ids=["byte", "letters"])
 def test_roots_match_the_walk(n, caps):
+    # Each root's row is b*T, b = ra..cap_b, T = 1 + m + ... + m^(ra-1),
+    # and reached is the sorted union of the rows.
+    codes = LANE_CODES[n]
     units = [m for m in range(1, n) if math.gcd(m, n) == 1]
     for cap_b in caps:
         walked = walk_roots(n, cap_b)
         for M in units:
-            assert _roots(M, n, cap_b) == walked.get(M, []), (M, cap_b)
+            reached, roots = _affine_rows(n, cap_b, M)
+            assert [(m, ra) for m, ra, _ in roots] == walked.get(M, []), (M, cap_b)
+            union = set()
+            for m, ra, row in roots:
+                T = sum(m ** i for i in range(ra)) % n
+                assert row == bytes(codes[b * T % n] for b in range(ra, cap_b + 1)), (m, ra)
+                union.update(row)
+            assert reached == bytes(sorted(union)), (M, cap_b)
+
+
+def smallest_keys(n, cap_b, cap_k):
+    """Reference for _smallest_key: (M, C, s) -> the smallest (m, b, k, ra,
+    rc) of the grid with m^ra = M, b*T - M*s = C and k*rc = s, every grid
+    key decomposed through iterated_affine."""
+    table = {}
+    for m in range(1, n):
+        if math.gcd(m, n) != 1:
+            continue
+        for b in range(1, cap_b + 1):
+            for ra in range(1, b + 1):
+                M, B = iterated_affine(m, b, ra, n)
+                for k in range(1, cap_k + 1):
+                    for rc in range(1, k + 1):
+                        s = k * rc % n
+                        key = (M, (B - M * s) % n, s)
+                        table[key] = min(table.get(key, (m, b, k, ra, rc)), (m, b, k, ra, rc))
+    return table
+
+
+@pytest.mark.parametrize("n,cap_b,cap_k", [
+    (256, 3, 5), (256, 5, 3), (256, 4, 4), (26, 3, 5), (26, 5, 3), (26, 4, 4), (26, 25, 2),
+])
+def test_smallest_key_matches_the_grid(n, cap_b, cap_k):
+    table = smallest_keys(n, cap_b, cap_k)
+    for (M, C, s), key in table.items():
+        assert _smallest_key(n, cap_b, cap_k, [(M, C)], s) == key, (M, C, s)
+    # A pair of fits (units M differ) gives the smaller of their keys at a
+    # shift both reach: each triple with the next one of another M there.
+    by_shift = {}
+    for M, C, s in sorted(table):
+        by_shift.setdefault(s, []).append((M, C))
+    pairs = 0
+    for s, fits in by_shift.items():
+        for (M1, C1), (M2, C2) in zip(fits, fits[1:]):
+            if M1 != M2:
+                pairs += 1
+                assert (_smallest_key(n, cap_b, cap_k, [(M1, C1), (M2, C2)], s)
+                        == min(table[M1, C1, s], table[M2, C2, s])), (M1, C1, M2, C2, s)
+    assert pairs
 
 
 @st.composite

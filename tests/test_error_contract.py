@@ -35,9 +35,11 @@ from paddycrypt.errors import CipherError, InvalidArgument, InvalidKey
 from paddycrypt.pipeline import (
     KEY_FIELDS,
     CipherParams,
+    CipherText,
     decrypt,
     encrypt,
     format_ciphertext,
+    keygen,
     parse_ciphertext,
     parse_key,
     serialize_key,
@@ -99,6 +101,28 @@ KEYS = (
     (lambda: attack_csv("x"), "result must be a AttackResult, got str"),
     (lambda: mean_fraction([1]), "report must be a DiffusionReport, got int"),
     (lambda: avalanche_csv([1]), "report must be a DiffusionReport, got int"),
+    # An unhashable mode, a scorer or min_score of the wrong type, and text
+    # or packed bytes of the wrong type.
+    (lambda: alphabet_size([]), "mode must be one of ['byte', 'letters'], got []"),
+    (lambda: brute_force(encrypt(b"x", KEYS[0]), mode=[]),
+     "mode must be one of ['byte', 'letters'], got []"),
+    (lambda: caesar_lane_attack(encrypt(b"x", KEYS[0]), mode=[]),
+     "mode must be one of ['byte', 'letters'], got []"),
+    (lambda: keygen(mode=[]), "mode must be one of ['byte', 'letters'], got []"),
+    (lambda: brute_force(encrypt(b"x", KEYS[0]), None), "scorer must be a Callable, got NoneType"),
+    (lambda: caesar_lane_attack(encrypt(b"x", KEYS[0]), None),
+     "scorer must be a Callable, got NoneType"),
+    (lambda: brute_force(encrypt(b"x", KEYS[0]), min_score="x"),
+     "min_score must be a Real, got str"),
+    (lambda: caesar_lane_attack(encrypt(b"x", KEYS[0]), min_score="x"),
+     "min_score must be a Real, got str"),
+    (lambda: parse_key(serialize_key(KEYS[0]).encode()), "text must be a str, got bytes"),
+    (lambda: parse_ciphertext(b"0" * 16), "text must be a str, got bytes"),
+    (lambda: parse_ciphertext(None), "text must be a str, got NoneType"),
+    (lambda: CipherText(None), "cells must be a Sequence, got NoneType"),
+    (lambda: CipherText.from_packed(5), "raw must be a bytes, got int"),
+    (lambda: CipherText.from_hex(None), "text must be a str, got NoneType"),
+    (lambda: CipherText.from_bitstring(5), "text must be a str, got int"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "build_permutation-str",
         "build_permutation-float", "_check_caps", "brute_force", "alphabet_size", "mod_inverse",
         "mod_inverse-float-1.5", "mod_inverse-float-n", "mod_inverse-float-m", "lane_table",
@@ -110,7 +134,12 @@ KEYS = (
         "decrypt-ciphertext", "format_ciphertext-ciphertext", "brute_force-ciphertext",
         "caesar_lane_attack-ciphertext", "encrypt-key", "decrypt-key", "avalanche-key",
         "lane_table-key", "serialize_key-key", "is_degenerate_key-key", "attack_csv-result",
-        "mean_fraction-report", "avalanche_csv-report"])
+        "mean_fraction-report", "avalanche_csv-report", "alphabet_size-list",
+        "brute_force-mode-list", "caesar_lane_attack-mode-list", "keygen-mode-list",
+        "brute_force-scorer", "caesar_lane_attack-scorer", "brute_force-min_score",
+        "caesar_lane_attack-min_score", "parse_key-bytes", "parse_ciphertext-bytes",
+        "parse_ciphertext-None", "CipherText-None", "from_packed-int", "from_hex-None",
+        "from_bitstring-int"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
         call()
