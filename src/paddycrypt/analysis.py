@@ -14,9 +14,11 @@ printable_ratio and english_score are the built-ins.  A scorer must be
 pure: the same bytes always get the same score, because an attack may
 score each distinct candidate text only once.  Every candidate text is
 lane_b shifted back, so with the built-in english_score both attacks
-score from counts: one histogram of lane_b, read at each shift's offset,
-gives every candidate's letter and space counts.  Candidates whose
-coverage bound cannot beat the best so far (or min_score) are not scored.
+score from counts: one histogram of lane_b, packed into one int, gives
+every candidate's letter and space counts through one multiplication.
+Candidates whose coverage bound cannot beat the best so far (or
+min_score) are not scored, and the rest sum their chi-squared rarest
+letter first, so that one which cannot reach it stops after a term or two.
 Ties for the best score are broken once scoring is done, in each attack's
 key order, and only the winner's text is built.  Custom or wrapped scorers
 get every candidate text and score it in full.
@@ -26,14 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import gcd
 from numbers import Real
-from operator import add, sub
 from string import ascii_lowercase, ascii_uppercase
 
 from .bitmatrix import deinterleave
@@ -93,14 +95,11 @@ def chi_squared_english(data: bytes) -> float:
     return _chi_squared([letters.count(code) for code in _LETTER_CODES], len(letters))
 
 
-def _chi_squared(counts, total: int, limit: float = math.inf) -> float:
+def _chi_squared(counts, total: int) -> float:
     """Chi-squared of the a..z letter counts, total letters in all, against
-    English, summed from a to z; the partial sum is returned as soon as it
-    reaches limit."""
+    English, summed from a to z."""
     chi2 = 0.0
     for count, freq in zip(counts, _LETTER_FREQS):
-        if chi2 >= limit:
-            break
         expected = total * freq
         diff = count - expected
         chi2 += diff * diff / expected
@@ -116,35 +115,50 @@ def english_score(data: bytes) -> float:
     """
     letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
     counts = [letters.count(code) for code in _LETTER_CODES]
-    return _score_counts(len(data), len(letters) + data.count(32), counts, None)
+    return _score_counts(len(data), len(letters) + data.count(32), counts, None, len(letters))
 
 
-def _score_counts(size: int, letterish: int, counts, floor: float | None) -> float:
+# (index, frequency) of each letter, rarest first: z, q, x, j, ...
+_RAREST_FIRST = sorted(enumerate(_LETTER_FREQS), key=lambda pair: pair[1])
+
+
+def _score_counts(size: int, letterish: int, counts, floor: float | None,
+                  total: int | None = None) -> float:
     """english_score of a text from its counts when that is at least floor
     (always when floor is None), otherwise some value below floor: size
-    bytes, letterish of them letters or spaces, and counts its a..z letter
-    counts, case folded.  A text without letters scores 0.
+    bytes, letterish of them letters or spaces, counts its a..z letter
+    counts, case folded, and total their sum (summed here if None).  A text
+    without letters scores 0.
 
     The score is top / (size + chi2), top = coverage * size, and chi2 >= 0
-    is a sum of terms >= 0.  Float rounding is monotone, so top / (size +
-    any partial sum) is an upper bound on the score: once one is below
-    floor, it is returned in place of the rest of the sum.
+    is a sum of terms >= 0, so top / (size + any partial sum) bounds the
+    score from above.  With a floor, the terms are summed rarest letter
+    first, where a wrong shift's counts stray furthest from English; once
+    the partial sum reaches top / floor - size, the bound is returned if it
+    is below floor.  The partial sum is shrunk by 1e-12 first: the two
+    orders of summation round apart by about 3e-15 of the sum at most, so
+    no text that reaches floor is cut.  Any other text is scored from the
+    a..z sum, so every score at or above floor is bit-identical to
+    english_score.
     """
-    total = sum(counts)
+    if total is None:
+        total = sum(counts)
     if not total:
         return 0.0
     top = letterish / size * size
-    # Partial sums reach top / floor - size about where the bound falls
-    # below floor; a sum cut short there is checked exactly, and finished
-    # after all in the rare case that rounding leaves it at floor or above.
-    limit = top / floor - size if floor is not None and floor > 0 else math.inf
-    chi2 = _chi_squared(counts, total, limit)
-    if chi2 >= limit:
-        bound = top / (size + chi2)
-        if bound < floor:
-            return bound
-        chi2 = _chi_squared(counts, total)
-    return top / (size + chi2)
+    if floor is not None and floor > 0:
+        limit = top / floor - size
+        partial = 0.0
+        for i, freq in _RAREST_FIRST:
+            expected = total * freq
+            diff = counts[i] - expected
+            partial += diff * diff / expected
+            if partial >= limit:
+                bound = top / (size + partial * (1 - 1e-12))
+                if bound < floor:
+                    return bound
+                break
+    return top / (size + _chi_squared(counts, total))
 
 
 def frequency_profile(data, n: int = 256) -> list[float]:
@@ -346,11 +360,18 @@ def _affine_rows(n: int, cap_b: int, M: int) -> tuple[bytes, tuple[tuple[int, in
     """(reached, roots): roots has each root (m, ra) of m^ra = M (mod n),
     ra <= cap_b, in (m, ra) order, with its row, the codes of b*T for b =
     ra..cap_b, T = 1 + m + ... + m^(ra-1); reached has the rows' codes,
-    sorted.  m's powers repeat every order steps, so ra = e (mod order)."""
+    sorted.  m's powers repeat every order steps, so ra = e (mod order),
+    and as m^ra = M, T steps by M*T(order) from one root of m to the next."""
     codes = LANE_CODES[n]
-    roots = tuple(
-        (m, ra, codes[ra:cap_b + 1].translate(_times(n, iterated_affine(m, 1, ra, n)[1])))
-        for m, e, order in _power_roots(n)[M] for ra in range(e, cap_b + 1, order))
+    roots = []
+    for m, e, order in _power_roots(n)[M]:
+        if e > cap_b:
+            continue
+        T, step = iterated_affine(m, 1, e, n)[1], M * iterated_affine(m, 1, order, n)[1]
+        for ra in range(e, cap_b + 1, order):
+            roots.append((m, ra, codes[ra:cap_b + 1].translate(_times(n, T))))
+            T = (T + step) % n
+    roots = tuple(roots)
     # The lane codes less those in no row: two C-level deletes.
     return codes.translate(None, codes.translate(None, b"".join(row for *_, row in roots))), roots
 
@@ -384,6 +405,46 @@ def _smallest_key(n: int, cap_b: int, cap_k: int, fits, s: int) -> tuple[int, in
 _LETTER_RUNS = {256: (65, 97), 26: (0,)}
 _SPACES = {256: (32,), 26: ()}
 
+# Per field width in bytes, the memoryview format of an unsigned field of
+# that width, and _WINDOW: 26 fields of 1, so that a product with it sums
+# every run of 26 fields.
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_WINDOW = {width: sum(1 << 8 * width * i for i in range(26)) for width in _FORMATS}
+
+
+def _fields(value: int, width: int, count: int) -> list[int]:
+    """The low count fields of width bytes of value, lowest first."""
+    # Native byte order both ways, so the host's order does not matter.
+    raw = (value & ~(-1 << 8 * width * count)).to_bytes(width * count, sys.byteorder)
+    return memoryview(raw).cast(_FORMATS[width]).tolist()
+
+
+def _shift_counts(codes_b: bytes, n: int) -> tuple[list[int], list[int], list[int]]:
+    """(folded, letters, letterish) of the texts lane_b - s, s in [0, n),
+    for a non-empty lane_b of alphabet n: folded[s + i] is shift s's count
+    of letter i, either case (n + 25 entries), letters[s] its letters and
+    letterish[s] its letters and spaces.
+
+    Shift s's count of text symbol v is lane_b's histogram at v + s.  The
+    histogram is one int of n fields, each the narrowest of 1, 2, 4 or 8
+    bytes that holds len(codes_b); no count or window sum exceeds that, so
+    no carry crosses a field.  doubled repeats it once above, so each
+    letter run is one shift of it, and one product with _WINDOW sums every
+    run of 26 folded fields.
+    """
+    size = len(codes_b)
+    width = next(width for width in _WINDOW if not size >> 8 * width)
+    w = 8 * width
+    offset = LANE_CODES[n][0]
+    hist = 0
+    for code, count in Counter(codes_b).items():
+        hist |= count << w * (code - offset)
+    doubled = hist | hist << w * n
+    folded = sum(doubled >> w * run for run in _LETTER_RUNS[n]) & ~(-1 << w * (n + 25))
+    letters = folded * _WINDOW[width] >> w * 25
+    letterish = letters + sum(doubled >> w * space for space in _SPACES[n])
+    return _fields(folded, width, n + 25), _fields(letters, width, n), _fields(letterish, width, n)
+
 
 # The built-in scorer, bound at import: a wrapper later rebound to the
 # module name english_score is not it, and gets every text.
@@ -396,39 +457,26 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score):
     the order scored; None if none does.  The caller breaks the tie.
 
     The built-in scorer (_ENGLISH_SCORE, so a wrapper rebound to the module
-    name is not it) scores from counts: shift s's count of text symbol v is
-    lane_b's histogram at v + s, so its letter and space counts are window
-    sums of the doubled histogram, and give its coverage bound top / size
-    on its score.  Shifts are visited by descending bound until the bound
-    falls below the score to reach (the best so far, or min_score), and
-    scored by _score_counts with that score as the floor; no text is
-    built.  Any other scorer, or an empty lane, gets every shift's text in
-    the order given.
+    name is not it) scores from counts: _shift_counts reads every shift's
+    letter and space counts from one packed histogram of lane_b, and they
+    give its coverage bound top / size on its score.  Shifts are visited by
+    descending bound until the bound falls below the score to reach (the
+    best so far, or min_score), and scored by _score_counts with that score
+    as the floor, so a shift that cannot reach it stops after a term or
+    two; no text is built.  Any other scorer, or an empty lane, gets every
+    shift's text in the order given.
     """
     from_counts = scorer is _ENGLISH_SCORE and bool(codes_b)
     if from_counts:
         size = len(codes_b)
-        offset = LANE_CODES[n][0]
-        doubled = [0] * (2 * n)
-        for code, count in Counter(codes_b).items():
-            doubled[code - offset] = doubled[code - offset + n] = count
-        # folded[s + i]: shift s's count of letter i, either case.
-        first, *others = _LETTER_RUNS[n]
-        folded = doubled[first:first + n + 25]
-        for run in others:
-            folded = list(map(add, folded, doubled[run:]))
-        # letterish[s]: shift s's letters (window sums of folded) and spaces.
-        prefix = list(accumulate(folded, initial=0))
-        letterish = list(map(sub, prefix[26:], prefix[:n]))
-        for space in _SPACES[n]:
-            letterish = list(map(add, letterish, doubled[space:]))
+        folded, letters, letterish = _shift_counts(codes_b, n)
         shifts = sorted(shifts, key=letterish.__getitem__, reverse=True)
     best, tied = min_score, []  # best is min_score until a shift scores
     for s in shifts:
         if from_counts:
             if best is not None and letterish[s] / size * size / size < best:
                 break
-            score = _score_counts(size, letterish[s], folded[s:s + 26], best)
+            score = _score_counts(size, letterish[s], folded[s:s + 26], best, letters[s])
         else:
             score = scorer(codes_b.translate(affine_table(n, 1, -s % n)))
         if min_score is not None and score < min_score:

@@ -144,14 +144,12 @@ class CipherText:
 
     @classmethod
     def from_hex(cls, text: str) -> "CipherText":
+        check_type("text", text, str)  # a2b_hex takes bytes too
         try:
             if not len(text) % 4:
                 return cls.from_packed(a2b_hex(text))
         except ValueError:
             pass
-        except TypeError:
-            check_type("text", text, str)
-            raise
         # a2b_hex rejected a non-hex character, reported first, or the length.
         _check_chars(text, _HEX_DIGITS, "invalid hex digit {!r}")
         raise BadLength(f"ciphertext bit count {4 * len(text)} is not a multiple of 16")

@@ -22,6 +22,7 @@ from paddycrypt.analysis import (
     _caesar_keys,
     _lane_fits,
     _score_counts,
+    _shift_counts,
     _smallest_key,
     brute_force,
     caesar_lane_attack,
@@ -125,20 +126,67 @@ def test_scorers_match_reference_bit_for_bit(data):
 
 
 @settings(max_examples=500, deadline=None)
-@given(scorer_inputs, st.one_of(st.floats(0, 1), scorer_inputs.map(english_score)))
-def test_floored_english_score_is_exact_at_or_above_the_floor(data, floor):
+@given(scorer_inputs, st.one_of(st.floats(0, 1), scorer_inputs.map(english_score)), st.booleans())
+def test_floored_english_score_is_exact_at_or_above_the_floor(data, floor, pass_total):
     exact = reference_english_score(data)
     letters = [byte | 0x20 for byte in data if 65 <= byte <= 90 or 97 <= byte <= 122]
     counted = Counter(letters)
     counts = [counted[ord(ch)] for ch in ENGLISH_LETTER_FREQ]
     letterish = len(letters) + data.count(32)
+    # _best_shift passes the letter total in; english_score's own callers may not.
+    total = len(letters) if pass_total else None
     # The drawn floor, and floors at the score itself and one ulp either side.
     for f in (floor, exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf)):
-        score = _score_counts(len(data), letterish, counts, f)
+        score = _score_counts(len(data), letterish, counts, f, total)
         if exact >= f:
             assert repr(score) == repr(exact)
         else:
             assert score < f
+
+
+def reference_shift_counts(codes_b, n):
+    """_shift_counts text by text: each shift's text lane_b - s, built as
+    the attacks build it, and its letter counts, either case, its letters
+    and its letters and spaces."""
+    upper = LANE_CODES[26]
+    lower = upper.lower() if n == 256 else b""
+    folded, letters, letterish = [None] * (n + 25), [], []
+    for s in range(n):
+        text = codes_b.translate(affine_table(n, 1, -s % n))
+        counts = [text.count(u) + (text.count(lower[i]) if lower else 0)
+                  for i, u in enumerate(upper)]
+        for i, count in enumerate(counts):
+            assert folded[s + i] in (None, count)  # shifts share folded entries
+            folded[s + i] = count
+        letters.append(sum(counts))
+        letterish.append(sum(counts) + (text.count(32) if n == 256 else 0))
+    return folded, letters, letterish
+
+
+def shift_count_lanes():
+    """Lanes across each field-width edge (255/256 and 65,535/65,536 bytes)
+    in both modes: a constant lane (one field holds the whole count), a
+    lane with every code, and a random one."""
+    rng = random.Random(26)
+    for n in (256, 26):
+        codes = LANE_CODES[n]
+        for size in (255, 256, 65535, 65536):
+            yield pytest.param(n, codes[7:8] * size, id=f"{n}-constant-{size}")
+            yield pytest.param(n, (codes * (size // n + 1))[:size], id=f"{n}-every-code-{size}")
+            yield pytest.param(n, bytes(rng.choices(codes, k=size)), id=f"{n}-random-{size}")
+
+
+@pytest.mark.parametrize("n,codes_b", shift_count_lanes())
+def test_shift_counts_match_the_texts_at_field_width_edges(n, codes_b):
+    assert _shift_counts(codes_b, n) == reference_shift_counts(codes_b, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([256, 26]).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sampled_from(list(LANE_CODES[n])), min_size=1, max_size=600).map(bytes))))
+def test_shift_counts_match_the_texts(lane):
+    n, codes_b = lane
+    assert _shift_counts(codes_b, n) == reference_shift_counts(codes_b, n)
 
 
 class TestFrequencyProfile:

@@ -122,6 +122,11 @@ KEYS = (
     (lambda: CipherText(None), "cells must be a Sequence, got NoneType"),
     (lambda: CipherText.from_packed(5), "raw must be a bytes, got int"),
     (lambda: CipherText.from_hex(None), "text must be a str, got NoneType"),
+    (lambda: CipherText.from_hex(b"abcd"), "text must be a str, got bytes"),
+    (lambda: CipherText.from_hex(memoryview(b"abcd")), "text must be a str, got memoryview"),
+    (lambda: CipherText.from_hex(b"abc"), "text must be a str, got bytes"),
+    (lambda: CipherText.from_hex(b"zzzz"), "text must be a str, got bytes"),
+    (lambda: CipherText.from_hex(bytearray(b"abcdef")), "text must be a str, got bytearray"),
     (lambda: CipherText.from_bitstring(5), "text must be a str, got int"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "build_permutation-str",
         "build_permutation-float", "_check_caps", "brute_force", "alphabet_size", "mod_inverse",
@@ -139,6 +144,8 @@ KEYS = (
         "brute_force-scorer", "caesar_lane_attack-scorer", "brute_force-min_score",
         "caesar_lane_attack-min_score", "parse_key-bytes", "parse_ciphertext-bytes",
         "parse_ciphertext-None", "CipherText-None", "from_packed-int", "from_hex-None",
+        "from_hex-bytes", "from_hex-memoryview", "from_hex-bytes-odd", "from_hex-bytes-bad-digit",
+        "from_hex-bytearray",
         "from_bitstring-int"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
