@@ -123,12 +123,12 @@ _RAREST_FIRST = sorted(enumerate(_LETTER_FREQS), key=lambda pair: pair[1])
 
 
 def _score_counts(size: int, letterish: int, counts, floor: float | None,
-                  total: int | None = None) -> float:
+                  total: int) -> float:
     """english_score of a text from its counts when that is at least floor
     (always when floor is None), otherwise some value below floor: size
     bytes, letterish of them letters or spaces, counts its a..z letter
-    counts, case folded, and total their sum (summed here if None).  A text
-    without letters scores 0.
+    counts, case folded, and total their sum.  A text without letters
+    scores 0.
 
     The score is top / (size + chi2), top = coverage * size, and chi2 >= 0
     is a sum of terms >= 0, so top / (size + any partial sum) bounds the
@@ -141,8 +141,6 @@ def _score_counts(size: int, letterish: int, counts, floor: float | None,
     a..z sum, so every score at or above floor is bit-identical to
     english_score.
     """
-    if total is None:
-        total = sum(counts)
     if not total:
         return 0.0
     top = letterish / size * size

@@ -126,18 +126,16 @@ def test_scorers_match_reference_bit_for_bit(data):
 
 
 @settings(max_examples=500, deadline=None)
-@given(scorer_inputs, st.one_of(st.floats(0, 1), scorer_inputs.map(english_score)), st.booleans())
-def test_floored_english_score_is_exact_at_or_above_the_floor(data, floor, pass_total):
+@given(scorer_inputs, st.one_of(st.floats(0, 1), scorer_inputs.map(english_score)))
+def test_floored_english_score_is_exact_at_or_above_the_floor(data, floor):
     exact = reference_english_score(data)
     letters = [byte | 0x20 for byte in data if 65 <= byte <= 90 or 97 <= byte <= 122]
     counted = Counter(letters)
     counts = [counted[ord(ch)] for ch in ENGLISH_LETTER_FREQ]
     letterish = len(letters) + data.count(32)
-    # _best_shift passes the letter total in; english_score's own callers may not.
-    total = len(letters) if pass_total else None
     # The drawn floor, and floors at the score itself and one ulp either side.
     for f in (floor, exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf)):
-        score = _score_counts(len(data), letterish, counts, f, total)
+        score = _score_counts(len(data), letterish, counts, f, len(letters))
         if exact >= f:
             assert repr(score) == repr(exact)
         else:
