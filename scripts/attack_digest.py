@@ -23,9 +23,13 @@ default caps with english_score and with printable_ratio, and on 34 B of
 'a' at byte caps 255 with english_score.
 
 Last, it runs the attacks on seed 1's pool and the edge-case messages
-again, with every cache in paddycrypt.analysis cleared before each attack,
-and prints "cold caches: <count> outcomes, same" when every outcome equals
-its warm-cache one ("differ", and exit status 1, otherwise).
+again, cold: every cache in paddycrypt.analysis is cleared before each
+attack, and each attack gets a fresh CipherText.from_packed copy of its
+ciphertext, so no lanes or counts kept by an earlier attack on the same
+object are read.  It prints "cold caches: <count> outcomes, same" when
+every outcome equals its warm one ("differ", and exit status 1,
+otherwise).  The warm pass attacks each ciphertext object many times, so
+it reads what the first attack on it kept.
 
 The package comes from PYTHONPATH, the pools from this checkout's bench/:
 
@@ -42,7 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import paddycrypt  # noqa: E402
-from paddycrypt import CipherError, CipherParams, analysis, encrypt  # noqa: E402
+from paddycrypt import CipherError, CipherParams, CipherText, analysis, encrypt  # noqa: E402
 from workloads import Crack  # noqa: E402
 
 CAPS = {"byte": [(16, 16), (3, 5)], "letters": [(25, 25), (2, 5)]}
@@ -85,7 +89,8 @@ def clear_caches() -> None:
 
 def outcomes(pairs, cold=False):
     """The repr of each outcome over pairs, in digest order; cold clears
-    every cache in paddycrypt.analysis before each attack."""
+    every cache in paddycrypt.analysis before each attack and attacks a
+    fresh copy of the ciphertext."""
     for ciphertext, mode in pairs:
         for scorer in SCORERS:
             for min_score in MIN_SCORES:
@@ -93,9 +98,11 @@ def outcomes(pairs, cold=False):
                 attacks += [(analysis.brute_force, {"cap_b": cap_b, "cap_k": cap_k})
                             for cap_b, cap_k in CAPS[mode]]
                 for attack, caps in attacks:
+                    target = ciphertext
                     if cold:
                         clear_caches()
-                    yield repr(outcome(attack, ciphertext, scorer, mode=mode,
+                        target = CipherText.from_packed(ciphertext.packed)
+                    yield repr(outcome(attack, target, scorer, mode=mode,
                                        min_score=min_score, **caps))
 
 

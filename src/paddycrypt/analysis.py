@@ -22,6 +22,13 @@ letter first, so that one which cannot reach it stops after a term or two.
 Ties for the best score are broken once scoring is done, in each attack's
 key order, and only the winner's text is built.  Custom or wrapped scorers
 get every candidate text and score it in full.
+
+The first attack on a CipherText keeps its raw lanes, and lane_b's counts
+per alphabet, in that instance's __dict__ (not a dataclass field, so ==,
+hash and repr do not see them, and they go with the ciphertext).  A later
+attack on the same object, such as caesar_lane_attack after brute_force,
+reads them back instead of deinterleaving and counting again; it still
+checks the lanes against its own mode.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import math
 import sys
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd
@@ -284,7 +291,7 @@ def brute_force(
     _check_caps(n, cap_b, cap_k)
     start = time.perf_counter()
 
-    codes_a, codes_b = deinterleave(ciphertext.packed)
+    codes_a, codes_b, counts = _lanes(ciphertext)
     check_lane_codes(codes_a, n)
     check_lane_codes(codes_b, n)
     codes = LANE_CODES[n]
@@ -303,7 +310,8 @@ def brute_force(
             affine_table(n, inverse, -inverse * C % n)))
     agreeing.intersection_update(_caesar_keys(n, cap_k))
 
-    best = _best_shift(codes_b, n, [code - codes[0] for code in agreeing], scorer, min_score)
+    best = _best_shift(codes_b, n, [code - codes[0] for code in agreeing], scorer, min_score,
+                       counts)
     if best is None:
         raise NotFound(
             f"no key with b<={cap_b}, k<={cap_k} produced agreeing lanes above the threshold"
@@ -449,7 +457,25 @@ def _shift_counts(codes_b: bytes, n: int) -> tuple[list[int], list[int], list[in
 _ENGLISH_SCORE = english_score
 
 
-def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score):
+def _lanes(ciphertext: CipherText) -> tuple[bytes, bytes, dict]:
+    """(lane_a, lane_b, counts): the ciphertext's raw lanes, and a dict from
+    alphabet size n to lane_b's _shift_counts, which _best_shift fills.
+
+    Built at the first attack on the instance and kept in its __dict__, so
+    every later attack on it reads them back.  The lanes hold raw bytes,
+    not yet checked against a mode, so each attack still checks them with
+    check_lane_codes.  It is not a dataclass field: ==, hash and repr do not
+    see it, and it is freed with the ciphertext.
+    """
+    stored = ciphertext.__dict__
+    lanes = stored.get("_lanes")
+    if lanes is None:
+        lane_a, lane_b = deinterleave(ciphertext.packed)
+        lanes = stored["_lanes"] = lane_a, lane_b, {}
+    return lanes
+
+
+def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict):
     """(best, tied): the best score of a text lane_b - shift among the
     shifts that score at least min_score, and the shifts that reach it, in
     the order scored; None if none does.  The caller breaks the tie.
@@ -457,17 +483,21 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score):
     The built-in scorer (_ENGLISH_SCORE, so a wrapper rebound to the module
     name is not it) scores from counts: _shift_counts reads every shift's
     letter and space counts from one packed histogram of lane_b, and they
-    give its coverage bound top / size on its score.  Shifts are visited by
-    descending bound until the bound falls below the score to reach (the
-    best so far, or min_score), and scored by _score_counts with that score
-    as the floor, so a shift that cannot reach it stops after a term or
-    two; no text is built.  Any other scorer, or an empty lane, gets every
-    shift's text in the order given.
+    give its coverage bound top / size on its score.  counts, the dict from
+    _lanes, keeps them per alphabet n, so each ciphertext builds them once
+    per n.  Shifts are visited by descending bound until the bound falls
+    below the score to reach (the best so far, or min_score), and scored by
+    _score_counts with that score as the floor, so a shift that cannot
+    reach it stops after a term or two; no text is built.  Any other
+    scorer, or an empty lane, gets every shift's text in the order given.
     """
     from_counts = scorer is _ENGLISH_SCORE and bool(codes_b)
     if from_counts:
         size = len(codes_b)
-        folded, letters, letterish = _shift_counts(codes_b, n)
+        shift_counts = counts.get(n)
+        if shift_counts is None:
+            shift_counts = counts[n] = _shift_counts(codes_b, n)
+        folded, letters, letterish = shift_counts
         shifts = sorted(shifts, key=letterish.__getitem__, reverse=True)
     best, tied = min_score, []  # best is min_score until a shift scores
     for s in shifts:
@@ -546,9 +576,9 @@ def caesar_lane_attack(
     n = alphabet_size(mode)
     start = time.perf_counter()
 
-    _, codes_b = deinterleave(ciphertext.packed)
+    _, codes_b, counts = _lanes(ciphertext)
     check_lane_codes(codes_b, n)
-    best = _best_shift(codes_b, n, range(n), scorer, min_score)
+    best = _best_shift(codes_b, n, range(n), scorer, min_score, counts)
     if best is None:
         raise NotFound(f"no shift scored above {min_score}")
     score, tied = best
@@ -602,6 +632,9 @@ def mean_fraction(reports) -> float:
     except AttributeError:
         _check_reports(reports)
         raise
+    except TypeError:  # not iterable, or without len, as an iterator is
+        check_type("reports", reports, Sequence)
+        raise
 
 
 def attack_csv(result: AttackResult) -> str:
@@ -625,6 +658,9 @@ def avalanche_csv(reports) -> str:
         )
     except AttributeError:
         _check_reports(reports)
+        raise
+    except TypeError:  # not iterable
+        check_type("reports", reports, Sequence)
         raise
     lines.append(f"# mean_fraction={mean_fraction(reports):.6f}")
     return "\n".join(lines) + "\n"

@@ -97,8 +97,13 @@ class CipherText:
             check_type("raw", raw, bytes)
             raise
         check_bit_count(count)
+        try:
+            packed = bytes(raw)
+        except (TypeError, ValueError):  # a str, or ints outside [0, 256)
+            check_type("raw", raw, bytes)
+            raise
         ciphertext = cls.__new__(cls)
-        object.__setattr__(ciphertext, "packed", bytes(raw))
+        object.__setattr__(ciphertext, "packed", packed)
         return ciphertext
 
     @property
@@ -217,7 +222,11 @@ def keygen(mode: str = "byte", seed=None) -> CipherParams:
     keys (test harnesses, the CLI --seed flag).
     """
     n = alphabet_size(mode)
-    rng = random.Random(seed) if seed is not None else random.SystemRandom()
+    try:
+        rng = random.Random(seed) if seed is not None else random.SystemRandom()
+    except TypeError:
+        raise InvalidArgument("seed must be an int, float, str, bytes or bytearray, "
+                              f"got {type(seed).__name__}") from None
     m = rng.randrange(1, n)
     while gcd(m, n) != 1:
         m = rng.randrange(1, n)

@@ -3,6 +3,8 @@
 import math
 import random
 import string
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -46,7 +48,13 @@ from paddycrypt.ciphers import (
     lane_table,
     mod_inverse,
 )
-from paddycrypt.errors import CipherError, IntegrityMismatch, NonLetterInput, NotFound
+from paddycrypt.errors import (
+    CipherError,
+    IntegrityMismatch,
+    NonLetterInput,
+    NonLetterOutput,
+    NotFound,
+)
 from paddycrypt.pipeline import CipherText, decrypt, encrypt, keygen
 
 ENGLISH = b"the quick brown fox jumps over the lazy dog"
@@ -808,6 +816,133 @@ def test_attacks_score_from_counts_as_a_wrapped_scorer_scores_texts(inputs):
             == attack_outcome(brute_force, ct, wrapped, *args))
     assert (lane_outcome(caesar_lane_attack, ct, mode, min_score)
             == lane_outcome(caesar_lane_attack, ct, mode, min_score, wrapped))
+
+
+def stored_outcome(attack, ct, scorer, mode, caps, min_score):
+    """Key, plaintext, repr of the score, candidates_tried and shift of an
+    attack, or the error (such as NotFound) and its text."""
+    try:
+        result = attack(ct, scorer, mode=mode, min_score=min_score, **caps)
+    except CipherError as err:
+        return type(err), str(err)
+    return (result.recovered_key, result.plaintext, repr(result.score),
+            result.candidates_tried, result.effective_shift)
+
+
+def stored_attacks(cap_b, cap_k):
+    """Every attack of the stored-analysis differential: both attacks in
+    both modes, brute_force at the case's caps (cut to the mode's) and at
+    (2, 3), with english_score, printable_ratio and a wrapped scorer, and
+    min_score None and 0.5."""
+
+    def wrapped(data):
+        return english_score(data)
+
+    attacks = []
+    for mode, n in (("byte", 256), ("letters", 26)):
+        grids = [(brute_force, {"cap_b": min(cap_b, n - 1), "cap_k": min(cap_k, n - 1)}),
+                 (brute_force, {"cap_b": 2, "cap_k": 3}), (caesar_lane_attack, {})]
+        for attack, caps in grids:
+            for scorer in (english_score, printable_ratio, wrapped):
+                for min_score in (None, 0.5):
+                    attacks.append((attack, scorer, mode, caps, min_score))
+    return attacks
+
+
+# The inputs of the hash-join differential.  One ciphertext object takes
+# every attack in a seeded order, so each one runs after the other attack,
+# the same attack, other scorers, other caps and the other mode; each must
+# give what it gives on a fresh copy.
+@pytest.mark.parametrize("mode,ct,cap_b,cap_k", join_cases(200, seed=9))
+def test_attacks_on_an_attacked_ciphertext_match_a_fresh_copy(mode, ct, cap_b, cap_k):
+    attacks = stored_attacks(cap_b, cap_k)
+    random.Random(f"{ct.packed.hex()}:{cap_b}:{cap_k}").shuffle(attacks)
+    shared = CipherText.from_packed(ct.packed)
+    for attack in attacks:
+        fresh = CipherText.from_packed(ct.packed)
+        assert stored_outcome(attack[0], shared, *attack[1:]) == stored_outcome(
+            attack[0], fresh, *attack[1:])
+
+
+LETTERS_MESSAGE = b"MEETMEATTHEUSUALPLACEATNOON"
+
+
+@pytest.mark.parametrize("first", [brute_force, caesar_lane_attack])
+def test_stored_lanes_are_checked_against_each_attacks_mode(first):
+    # A byte ciphertext's lanes hold non-letters: attacked in byte mode,
+    # then in letters mode, it fails as a fresh copy does.
+    byte_ct = encrypt(ATTACK_MESSAGE, CipherParams(256, 147, 201, 177, 98, 153))
+    first(byte_ct, mode="byte")
+    for second in (brute_force, caesar_lane_attack):
+        with pytest.raises(NonLetterOutput) as warm:
+            second(byte_ct, mode="letters")
+        with pytest.raises(NonLetterOutput) as fresh:
+            second(CipherText.from_packed(byte_ct.packed), mode="letters")
+        assert str(warm.value) == str(fresh.value)
+    # A letters ciphertext attacked in letters mode, then in byte mode, and
+    # then in letters mode again, gives each mode's fresh result.
+    letters_ct = encrypt(LETTERS_MESSAGE, CipherParams(26, 7, 20, 19, 11, 16))
+    first(letters_ct, mode="letters")
+    for mode in ("byte", "letters"):
+        for second in (brute_force, caesar_lane_attack):
+            fresh_ct = CipherText.from_packed(letters_ct.packed)
+            args = (english_score, mode, {}, None)
+            assert (stored_outcome(second, letters_ct, *args)
+                    == stored_outcome(second, fresh_ct, *args))
+
+
+def test_stored_analysis_is_invisible_and_read_back(monkeypatch):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(analysis, name, wrapper)
+
+    counted("deinterleave", deinterleave)
+    counted("_shift_counts", _shift_counts)
+    ct = encrypt(ATTACK_MESSAGE, CipherParams(256, 77, 9, 13, 4, 7))
+    copy = CipherText.from_packed(ct.packed)
+    grid = brute_force(ct)
+    lane = caesar_lane_attack(ct)
+    assert grid.plaintext == lane.plaintext == ATTACK_MESSAGE
+    # The second attack reads the lanes and counts that the first kept.
+    assert calls == {"deinterleave": 1, "_shift_counts": 1}
+    assert ct == copy and hash(ct) == hash(copy) and repr(ct) == repr(copy)
+    assert {copy: "found"}[ct] == "found"
+
+
+def test_threads_attacking_one_ciphertext_get_the_fresh_results():
+    # Threads that attack one ciphertext at once may each build its lanes
+    # and counts; whichever they keep, every attack gives the fresh result.
+    key = CipherParams(256, 77, 9, 13, 4, 7)
+    packed = encrypt(ATTACK_MESSAGE, key).packed
+    attacks = [(attack, mode) for attack in (brute_force, caesar_lane_attack)
+               for mode in ("byte", "letters")]
+    fresh = CipherText.from_packed(packed)
+    expected = [stored_outcome(attack, fresh, english_score, mode, {}, None)
+                for attack, mode in attacks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared = CipherText.from_packed(packed)
+            results = []
+
+            def attack_all():
+                results.append([stored_outcome(attack, shared, english_score, mode, {}, None)
+                                for attack, mode in attacks])
+
+            threads = [threading.Thread(target=attack_all) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestCaesarLaneAttack:

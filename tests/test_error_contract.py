@@ -121,6 +121,17 @@ KEYS = (
     (lambda: parse_ciphertext(None), "text must be a str, got NoneType"),
     (lambda: CipherText(None), "cells must be a Sequence, got NoneType"),
     (lambda: CipherText.from_packed(5), "raw must be a bytes, got int"),
+    # A str, or ints outside [0, 256), of a length bytes() would take.
+    (lambda: CipherText.from_packed("abcd"), "raw must be a bytes, got str"),
+    (lambda: CipherText.from_packed([1, 300]), "raw must be a bytes, got list"),
+    (lambda: keygen(seed=[1]), "seed must be an int, float, str, bytes or bytearray, got list"),
+    # Reports read once, without len: an iterator.
+    (lambda: mean_fraction(iter(avalanche(b"x", KEYS[0]))),
+     "reports must be a Sequence, got list_iterator"),
+    (lambda: avalanche_csv(iter(avalanche(b"x", KEYS[0]))),
+     "reports must be a Sequence, got list_iterator"),
+    (lambda: mean_fraction(5), "reports must be a Sequence, got int"),
+    (lambda: avalanche_csv(5), "reports must be a Sequence, got int"),
     (lambda: CipherText.from_hex(None), "text must be a str, got NoneType"),
     (lambda: CipherText.from_hex(b"abcd"), "text must be a str, got bytes"),
     (lambda: CipherText.from_hex(memoryview(b"abcd")), "text must be a str, got memoryview"),
@@ -143,7 +154,9 @@ KEYS = (
         "brute_force-mode-list", "caesar_lane_attack-mode-list", "keygen-mode-list",
         "brute_force-scorer", "caesar_lane_attack-scorer", "brute_force-min_score",
         "caesar_lane_attack-min_score", "parse_key-bytes", "parse_ciphertext-bytes",
-        "parse_ciphertext-None", "CipherText-None", "from_packed-int", "from_hex-None",
+        "parse_ciphertext-None", "CipherText-None", "from_packed-int", "from_packed-str",
+        "from_packed-out-of-range", "keygen-seed-list", "mean_fraction-iterator",
+        "avalanche_csv-iterator", "mean_fraction-int", "avalanche_csv-int", "from_hex-None",
         "from_hex-bytes", "from_hex-memoryview", "from_hex-bytes-odd", "from_hex-bytes-bad-digit",
         "from_hex-bytearray",
         "from_bitstring-int"])
