@@ -20,7 +20,11 @@ The set:
 It also counts the calls to brute_force's key readback, the function
 analysis._smallest_key, with sys.setprofile: over the crack pools at
 default caps with english_score and with printable_ratio, and on 34 B of
-'a' at byte caps 255 with english_score.
+'a' at byte caps 255 with english_score.  It counts the shifts scored from
+counts, the calls to analysis._score_counts, the same way: over the crack
+pools, brute_force at default caps and then caesar_lane_attack with
+english_score on a fresh copy of each ciphertext, as a benchmark crack op
+runs them.
 
 Last, it runs the attacks on seed 1's pool and the edge-case messages
 again, cold: every cache in paddycrypt.analysis is cleared before each
@@ -114,22 +118,47 @@ def digest(pairs) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-def readbacks(pairs, scorer, caps=None) -> int:
-    """Calls to analysis._smallest_key over pairs at default or given caps."""
+def calls_to(name, run) -> int:
+    """Calls to the function called name while run() runs."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_name == "_smallest_key":
+        if event == "call" and frame.f_code.co_name == name:
             calls += 1
 
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def readbacks(pairs, scorer, caps=None) -> int:
+    """Calls to analysis._smallest_key over pairs at default or given caps."""
+    calls = 0
     for ciphertext, mode in pairs:
         cap_b, cap_k = caps or CAPS[mode][0]
-        sys.setprofile(profile)
-        try:
-            analysis.brute_force(ciphertext, scorer, mode=mode, cap_b=cap_b, cap_k=cap_k)
-        finally:
-            sys.setprofile(None)
+        calls += calls_to("_smallest_key", lambda: analysis.brute_force(
+            ciphertext, scorer, mode=mode, cap_b=cap_b, cap_k=cap_k))
+    return calls
+
+
+def scored_shifts(pairs) -> int:
+    """Calls to analysis._score_counts over pairs when brute_force at
+    default caps and then caesar_lane_attack, both with english_score, run
+    on a fresh copy of each ciphertext, as a benchmark crack op runs them."""
+    calls = 0
+    for ciphertext, mode in pairs:
+        cap_b, cap_k = CAPS[mode][0]
+        target = CipherText.from_packed(ciphertext.packed)
+
+        def both():
+            analysis.brute_force(target, mode=mode, cap_b=cap_b, cap_k=cap_k)
+            analysis.caesar_lane_attack(target, mode=mode)
+
+        calls += calls_to("_score_counts", both)
     return calls
 
 
@@ -143,6 +172,8 @@ def main() -> int:
     constant = [(encrypt(b"a" * 34, CipherParams(n=256, m=3, b=5, k=7, ra=2, rc=4)), "byte")]
     print("readbacks, 34 B of 'a' at byte caps 255, english_score:",
           readbacks(constant, analysis.english_score, (255, 255)))
+    print("scored shifts, crack pools, brute_force then caesar_lane_attack, english_score:",
+          scored_shifts(pools))
     pairs = pool(1) + edges
     warm = list(outcomes(pairs))
     same = list(outcomes(pairs, cold=True)) == warm

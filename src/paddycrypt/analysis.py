@@ -23,12 +23,17 @@ Ties for the best score are broken once scoring is done, in each attack's
 key order, and only the winner's text is built.  Custom or wrapped scorers
 get every candidate text and score it in full.
 
-The first attack on a CipherText keeps its raw lanes, and lane_b's counts
-per alphabet, in that instance's __dict__ (not a dataclass field, so ==,
-hash and repr do not see them, and they go with the ciphertext).  A later
-attack on the same object, such as caesar_lane_attack after brute_force,
-reads them back instead of deinterleaving and counting again; it still
-checks the lanes against its own mode.
+The first attack on a CipherText keeps its raw lanes in that instance's
+__dict__, and per alphabet lane_b's counts and the last search's shifts,
+min_score and answer (not a dataclass field, so ==, hash and repr do not
+see them, pickles and copies do not carry them, and they go with the
+ciphertext).  A later attack on the same object, such as
+caesar_lane_attack after brute_force, reads them back instead of
+deinterleaving and counting again; it still checks the lanes against its
+own mode.  With english_score and an equal min_score it also starts from
+the last search's answer: it scores only the shifts not searched before
+whose coverage bound reaches that best, or, if it searches only shifts
+searched before and the best is among them, scores none.
 """
 
 from __future__ import annotations
@@ -459,13 +464,15 @@ _ENGLISH_SCORE = english_score
 
 def _lanes(ciphertext: CipherText) -> tuple[bytes, bytes, dict]:
     """(lane_a, lane_b, counts): the ciphertext's raw lanes, and a dict from
-    alphabet size n to lane_b's _shift_counts, which _best_shift fills.
+    alphabet size n to a record that _best_shift fills: lane_b's
+    _shift_counts, then the last search's shifts, min_score and answer.
 
     Built at the first attack on the instance and kept in its __dict__, so
     every later attack on it reads them back.  The lanes hold raw bytes,
     not yet checked against a mode, so each attack still checks them with
     check_lane_codes.  It is not a dataclass field: ==, hash and repr do not
-    see it, and it is freed with the ciphertext.
+    see it, pickles and copies do not carry it, and it is freed with the
+    ciphertext.
     """
     stored = ciphertext.__dict__
     lanes = stored.get("_lanes")
@@ -475,10 +482,30 @@ def _lanes(ciphertext: CipherText) -> tuple[bytes, bytes, dict]:
     return lanes
 
 
+def _coverage_floor(best, size: int) -> int:
+    """The least count c of letters and spaces whose coverage bound
+    c / size * size / size, as _best_shift computes it, is not below best:
+    0 when every count reaches it (best <= 0, or nan, which no bound is
+    below), size + 1 when none does (best > 1).  The bound rises with c and
+    is within a rounding of c / size, so ceil(best * size) is a step or two
+    from it at most."""
+    if best > 1:
+        return size + 1
+    if not best > 0:
+        return 0
+    low = math.ceil(best * size)
+    while low > 0 and (low - 1) / size * size / size >= best:
+        low -= 1
+    while low <= size and low / size * size / size < best:
+        low += 1
+    return low
+
+
 def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict):
     """(best, tied): the best score of a text lane_b - shift among the
-    shifts that score at least min_score, and the shifts that reach it, in
-    the order scored; None if none does.  The caller breaks the tie.
+    shifts (distinct, in [0, n)) that score at least min_score, and the
+    shifts that reach it, in no set order; None if none does.  The caller
+    breaks the tie.
 
     The built-in scorer (_ENGLISH_SCORE, so a wrapper rebound to the module
     name is not it) scores from counts: _shift_counts reads every shift's
@@ -488,19 +515,55 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
     per n.  Shifts are visited by descending bound until the bound falls
     below the score to reach (the best so far, or min_score), and scored by
     _score_counts with that score as the floor, so a shift that cannot
-    reach it stops after a term or two; no text is built.  Any other
-    scorer, or an empty lane, gets every shift's text in the order given.
+    reach it stops after a term or two; no text is built.  A score to reach
+    before the first visit (min_score, or an earlier answer's best below)
+    cuts the shifts to those whose bound reaches it, by one integer
+    threshold from _coverage_floor, before they are sorted.
+
+    Each search from counts also writes its shifts as given, min_score and
+    answer next to the counts, one tuple in one assignment, so a thread
+    sees either the old record or the new.  A later search with an equal
+    min_score starts from that answer.  Every earlier shift outside its
+    tied scored below its best (or min_score).  So a search over fewer
+    shifts, each searched before, returns the answer at once if a tied
+    shift is among them (None if there was no answer).  A search over more,
+    such as caesar_lane_attack's range(n) after brute_force's agreeing
+    shifts, starts with that answer as its best so far and visits only the
+    shifts not searched before.  Any other search runs from the start.
+
+    Any other scorer, or an empty lane, gets every shift's text in the
+    order given, and neither reads nor writes the record.
     """
     from_counts = scorer is _ENGLISH_SCORE and bool(codes_b)
+    best, tied = min_score, []  # best is min_score until a shift scores
+    visits = shifts
     if from_counts:
         size = len(codes_b)
-        shift_counts = counts.get(n)
-        if shift_counts is None:
-            shift_counts = counts[n] = _shift_counts(codes_b, n)
-        folded, letters, letterish = shift_counts
-        shifts = sorted(shifts, key=letterish.__getitem__, reverse=True)
-    best, tied = min_score, []  # best is min_score until a shift scores
-    for s in shifts:
+        record = counts.get(n)
+        searched = ()
+        if record is None:
+            folded, letters, letterish = _shift_counts(codes_b, n)
+        else:
+            folded, letters, letterish, last_shifts, last_min_score, answer = record
+            if last_min_score == min_score:
+                searched = set(last_shifts)
+                if searched.issuperset(shifts):
+                    if answer is None:
+                        return None
+                    here = [s for s in answer[1] if s in shifts]
+                    if here:
+                        return answer[0], here
+                    searched = ()
+                elif len(shifts) == n or searched.issubset(shifts):  # n shifts are all of them
+                    if answer is not None:
+                        best, tied = answer[0], list(answer[1])
+                else:
+                    searched = ()
+        if best is not None or searched:
+            low = 0 if best is None else _coverage_floor(best, size)
+            visits = [s for s in shifts if letterish[s] >= low and s not in searched]
+        visits = sorted(visits, key=letterish.__getitem__, reverse=True)
+    for s in visits:
         if from_counts:
             if best is not None and letterish[s] / size * size / size < best:
                 break
@@ -513,7 +576,10 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
             best, tied = score, [s]
         elif score == best:
             tied.append(s)
-    return (best, tied) if tied else None
+    answer = (best, tied) if tied else None
+    if from_counts:
+        counts[n] = folded, letters, letterish, shifts, min_score, answer
+    return answer
 
 
 @functools.cache  # one per (n, t), built on first use
@@ -618,10 +684,13 @@ def avalanche(plaintext: bytes, key: CipherParams) -> list[DiffusionReport]:
 
 def _check_reports(reports) -> None:
     """Raise InvalidArgument naming the type of the first report that is
-    not a DiffusionReport.  Called only once reading a report has failed, so
-    a list of reports is not checked item by item on the way."""
+    not a DiffusionReport, or of the first report fraction that is not a
+    Real.  The bit index is only printed, so any value formats.  Called only
+    once reading a report has failed, so a list of reports is not checked
+    item by item on the way."""
     for report in reports:
         check_type("report", report, DiffusionReport)
+        check_type("report.ciphertext_hamming_fraction", report.ciphertext_hamming_fraction, Real)
 
 
 def mean_fraction(reports) -> float:
@@ -632,8 +701,9 @@ def mean_fraction(reports) -> float:
     except AttributeError:
         _check_reports(reports)
         raise
-    except TypeError:  # not iterable, or without len, as an iterator is
+    except TypeError:  # not iterable, without len as an iterator is, or a bad fraction
         check_type("reports", reports, Sequence)
+        _check_reports(reports)
         raise
 
 
@@ -659,8 +729,9 @@ def avalanche_csv(reports) -> str:
     except AttributeError:
         _check_reports(reports)
         raise
-    except TypeError:  # not iterable
+    except (TypeError, ValueError):  # not iterable, or a fraction that is not a number
         check_type("reports", reports, Sequence)
+        _check_reports(reports)
         raise
     lines.append(f"# mean_fraction={mean_fraction(reports):.6f}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from itertools import compress, count
+
 
 class CipherError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -43,12 +45,23 @@ class NonLetterOutput(CipherError):
 class IntegrityMismatch(CipherError):
     """The two cipher lanes decrypted to different plaintexts.
 
-    indices holds the symbol positions whose lanes disagree.
+    indices holds the symbol positions whose lanes disagree.  Given diff
+    instead, the lanes XORed byte by byte, it is built from diff's nonzero
+    bytes on first access and then kept, so an error nobody reads the
+    indices of does not build a tuple of up to one int per symbol.
     """
 
-    def __init__(self, message: str, indices: tuple[int, ...] = ()) -> None:
+    def __init__(self, message: str, indices: tuple[int, ...] = (), *,
+                 diff: bytes | None = None) -> None:
         super().__init__(message)
-        self.indices = indices
+        self._indices = indices if diff is None else None
+        self._diff = diff
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        if self._indices is None:
+            self._indices = tuple(compress(count(), self._diff))
+        return self._indices
 
 
 class ParseError(CipherError):

@@ -106,6 +106,10 @@ class CipherText:
         object.__setattr__(ciphertext, "packed", packed)
         return ciphertext
 
+    def __reduce__(self):
+        # Pickles and copies carry packed alone, not what an attack kept.
+        return type(self).from_packed, (self.packed,)
+
     @property
     def cells(self) -> bytes:
         """One 0/1 byte per ciphertext bit."""
@@ -206,11 +210,15 @@ def decrypt(ciphertext: CipherText, key: CipherParams) -> bytes:
     check_lane_codes(plain_a, key.n)
     check_lane_codes(plain_b, key.n)
     if plain_a != plain_b:
-        indices = tuple(i for i, (x, y) in enumerate(zip(plain_a, plain_b)) if x != y)
+        # One XOR of the lanes as ints: its zero bytes are the symbols that
+        # agree, and its leading ones those before the first that does not.
+        n = len(plain_a)
+        diff = (int.from_bytes(plain_a, "big") ^ int.from_bytes(plain_b, "big")).to_bytes(n, "big")
+        first = n - len(diff.lstrip(b"\0"))
         raise IntegrityMismatch(
             "affine and caesar lanes disagree (corrupt data or wrong key) at "
-            f"{len(indices)} of {len(plain_a)} symbols, first index {indices[0]}",
-            indices,
+            f"{n - diff.count(0)} of {n} symbols, first index {first}",
+            diff=diff,
         )
     return plain_a
 

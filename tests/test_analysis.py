@@ -1,6 +1,8 @@
 """Unit tests for the cryptanalysis and diffusion suite."""
 
+import copy
 import math
+import pickle
 import random
 import string
 import sys
@@ -167,6 +169,21 @@ def reference_shift_counts(codes_b, n):
         letters.append(sum(counts))
         letterish.append(sum(counts) + (text.count(32) if n == 256 else 0))
     return folded, letters, letterish
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 1 << 24), st.one_of(
+    st.floats(-1, 2), st.sampled_from([math.inf, -math.inf, math.nan, 0.0, 1.0]),
+    st.integers(1, 1 << 24).flatmap(lambda c: st.just(c / (1 << 24)))))
+def test_coverage_floor_is_the_least_count_whose_bound_reaches_best(size, best):
+    floor = analysis._coverage_floor(best, size)
+    assert 0 <= floor <= size + 1
+
+    def reaches(c):  # the float test _best_shift breaks on
+        return not c / size * size / size < best
+
+    assert floor == size + 1 or reaches(floor)
+    assert floor == 0 or not reaches(floor - 1)
 
 
 def shift_count_lanes():
@@ -833,7 +850,9 @@ def stored_attacks(cap_b, cap_k):
     """Every attack of the stored-analysis differential: both attacks in
     both modes, brute_force at the case's caps (cut to the mode's) and at
     (2, 3), with english_score, printable_ratio and a wrapped scorer, and
-    min_score None and 0.5."""
+    min_score None and 0.5.  english_score, whose searches from counts
+    start from the last one's answer at an equal min_score, also gets inf,
+    nan, -1, 0 and 1.5."""
 
     def wrapped(data):
         return english_score(data)
@@ -844,7 +863,10 @@ def stored_attacks(cap_b, cap_k):
                  (brute_force, {"cap_b": 2, "cap_k": 3}), (caesar_lane_attack, {})]
         for attack, caps in grids:
             for scorer in (english_score, printable_ratio, wrapped):
-                for min_score in (None, 0.5):
+                min_scores = (None, 0.5)
+                if scorer is english_score:
+                    min_scores += (math.inf, math.nan, -1, 0, 1.5)
+                for min_score in min_scores:
                     attacks.append((attack, scorer, mode, caps, min_score))
     return attacks
 
@@ -943,6 +965,87 @@ def test_threads_attacking_one_ciphertext_get_the_fresh_results():
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_pickles_and_copies_of_an_attacked_ciphertext_carry_only_packed():
+    ct = encrypt(ATTACK_MESSAGE, CipherParams(256, 77, 9, 13, 4, 7))
+    fresh = CipherText.from_packed(ct.packed)
+    brute_force(ct)
+    caesar_lane_attack(ct)
+    assert "_lanes" in vars(ct)
+    assert pickle.dumps(ct) == pickle.dumps(fresh)
+    for duplicate in (copy.copy(ct), copy.deepcopy(ct), pickle.loads(pickle.dumps(ct))):
+        assert type(duplicate) is CipherText and duplicate == ct
+        assert vars(duplicate) == {"packed": ct.packed}
+        for attack in (brute_force, caesar_lane_attack):
+            for mode in ("byte", "letters"):
+                args = (english_score, mode, {}, None)
+                assert (stored_outcome(attack, duplicate, *args)
+                        == stored_outcome(attack, CipherText.from_packed(ct.packed), *args))
+
+
+# A byte-mode sentence of the benchmark crack pools whose best shift, 40,
+# turns its spaces into NULs and its letters to uppercase; no grid key at
+# the default caps agrees at 40, so brute_force finds the plaintext at 8.
+DECOY_MESSAGE = b"Just just when back against winter but what year used out on."
+DECOY_KEY = CipherParams(256, 89, 6, 4, 1, 2)
+
+
+def test_grid_attack_after_a_lane_attack_whose_best_shift_does_not_agree():
+    ct = encrypt(DECOY_MESSAGE, DECOY_KEY)
+    lane = caesar_lane_attack(ct)
+    assert lane.effective_shift == 40 and lane.plaintext != DECOY_MESSAGE
+    grid = brute_force(ct)
+    assert (grid.recovered_key, grid.plaintext) == (DECOY_KEY, DECOY_MESSAGE)
+    for min_score in (None, 0.45, 0.47):
+        shared = CipherText.from_packed(ct.packed)
+        caesar_lane_attack(shared, min_score=min_score)
+        for attack in (brute_force, caesar_lane_attack):
+            args = (english_score, "byte", {}, min_score)
+            assert (stored_outcome(attack, shared, *args)
+                    == stored_outcome(attack, CipherText.from_packed(ct.packed), *args))
+
+
+def agreeing_texts(ct, mode, cap):
+    """The texts of the shifts whose lanes agree at caps (cap, cap): the
+    texts brute_force hands a scorer that is not the built-in one."""
+    texts = set()
+    brute_force(CipherText.from_packed(ct.packed), lambda text: texts.add(text) or 0.0,
+                mode=mode, cap_b=cap, cap_k=cap)
+    return texts
+
+
+def test_lane_attack_after_the_grid_attack_scores_only_shifts_not_searched(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _score_counts(*args)
+
+    monkeypatch.setattr(analysis, "_score_counts", counted)
+    # The lane attack after the grid attack scores only shifts that the
+    # grid attack did not search: none when every letters shift agrees at
+    # caps 25, at most one when 25 do.
+    for key, agreeing in ((CipherParams(26, 5, 3, 4, 2, 3), 26),
+                          (CipherParams(26, 7, 20, 19, 11, 16), 25)):
+        letters_ct = encrypt(LETTERS_MESSAGE, key)
+        assert len(agreeing_texts(letters_ct, "letters", 25)) == agreeing
+        grid = brute_force(letters_ct, mode="letters", cap_b=25, cap_k=25)
+        del calls[:]
+        lane = caesar_lane_attack(letters_ct, mode="letters")
+        assert len(calls) <= 26 - agreeing
+        assert lane.plaintext == grid.plaintext == LETTERS_MESSAGE
+    # In byte mode only some shifts agree, and of the others only those
+    # whose coverage bound reaches the grid attack's best are scored.
+    byte_ct = encrypt(ATTACK_MESSAGE, CipherParams(256, 77, 9, 13, 4, 7))
+    del calls[:]
+    caesar_lane_attack(CipherText.from_packed(byte_ct.packed))
+    on_a_fresh_copy = len(calls)
+    brute_force(byte_ct)
+    del calls[:]
+    lane = caesar_lane_attack(byte_ct)
+    assert len(calls) < on_a_fresh_copy
+    assert lane.plaintext == ATTACK_MESSAGE
 
 
 class TestCaesarLaneAttack:

@@ -412,3 +412,23 @@ def test_decrypt_outcomes_match_the_permutation(mode):
             assert decrypt_outcome(corrupted, key) == permutation_decrypt(corrupted, key)
         garbage = CipherText.from_packed(rng.randbytes(2 * n_sym))
         assert decrypt_outcome(garbage, key) == permutation_decrypt(garbage, key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mismatch_indices_and_message_match_the_permutation(data):
+    # A wrong key, flipped bits or both: decrypt counts the disagreeing
+    # symbols and finds the first from one XOR of the lanes, and builds
+    # indices from it on first access; the oracle walks them symbol by symbol.
+    mode = data.draw(st.sampled_from(["byte", "letters"]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    n_sym = data.draw(st.integers(1, 300))
+    key = keygen(mode, seed=rng.random())
+    ciphertext = encrypt(random_codes(rng, mode, n_sym), key)
+    if data.draw(st.booleans()):
+        key = keygen(mode, seed=rng.random())
+    raw = bytearray(ciphertext.packed)
+    for position in data.draw(st.lists(st.integers(0, 16 * n_sym - 1), max_size=5)):
+        raw[position // 8] ^= 0x80 >> position % 8
+    corrupted = CipherText.from_packed(raw)
+    assert decrypt_outcome(corrupted, key) == permutation_decrypt(corrupted, key)

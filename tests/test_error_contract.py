@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paddycrypt.analysis import (
+    DiffusionReport,
     _check_caps,
     attack_csv,
     avalanche,
@@ -132,6 +133,13 @@ KEYS = (
      "reports must be a Sequence, got list_iterator"),
     (lambda: mean_fraction(5), "reports must be a Sequence, got int"),
     (lambda: avalanche_csv(5), "reports must be a Sequence, got int"),
+    # A report whose fraction is not a number.
+    (lambda: mean_fraction([DiffusionReport(0, "x")]),
+     "report.ciphertext_hamming_fraction must be a Real, got str"),
+    (lambda: avalanche_csv([DiffusionReport(0, "x")]),
+     "report.ciphertext_hamming_fraction must be a Real, got str"),
+    (lambda: avalanche_csv([DiffusionReport("a", None)]),
+     "report.ciphertext_hamming_fraction must be a Real, got NoneType"),
     (lambda: CipherText.from_hex(None), "text must be a str, got NoneType"),
     (lambda: CipherText.from_hex(b"abcd"), "text must be a str, got bytes"),
     (lambda: CipherText.from_hex(memoryview(b"abcd")), "text must be a str, got memoryview"),
@@ -156,7 +164,9 @@ KEYS = (
         "caesar_lane_attack-min_score", "parse_key-bytes", "parse_ciphertext-bytes",
         "parse_ciphertext-None", "CipherText-None", "from_packed-int", "from_packed-str",
         "from_packed-out-of-range", "keygen-seed-list", "mean_fraction-iterator",
-        "avalanche_csv-iterator", "mean_fraction-int", "avalanche_csv-int", "from_hex-None",
+        "avalanche_csv-iterator", "mean_fraction-int", "avalanche_csv-int",
+        "mean_fraction-fraction-str", "avalanche_csv-fraction-str",
+        "avalanche_csv-fraction-None", "from_hex-None",
         "from_hex-bytes", "from_hex-memoryview", "from_hex-bytes-odd", "from_hex-bytes-bad-digit",
         "from_hex-bytearray",
         "from_bitstring-int"])

@@ -1,5 +1,6 @@
 """Unit tests for end-to-end encryption, key files and ciphertext files."""
 
+import pickle
 import random
 import tracemalloc
 
@@ -7,8 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paddycrypt.bitmatrix import build_permutation, harvest, place, symbols_to_bits, unharvest
-from paddycrypt.ciphers import LANE_AFFINE, LANE_CAESAR, CipherParams, iterate_decrypt, iterate_encrypt
+from paddycrypt.bitmatrix import (
+    build_permutation,
+    deinterleave,
+    harvest,
+    place,
+    symbols_to_bits,
+    unharvest,
+)
+from paddycrypt.ciphers import (
+    LANE_AFFINE,
+    LANE_CAESAR,
+    CipherParams,
+    iterate_decrypt,
+    iterate_encrypt,
+    lane_table,
+)
 from paddycrypt.errors import (
     BadLength,
     CipherError,
@@ -171,6 +186,26 @@ class TestDecrypt:
             assert str(err.value).startswith(
                 "affine and caesar lanes disagree (corrupt data or wrong key)")
             assert f"first index {owner[position]}" in str(err.value)
+
+    def test_wrong_key_indices_are_built_once_and_survive_a_pickle(self):
+        key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
+        wrong = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=7)
+        message = b"the wrong key decrypts the lanes apart"
+        ct = encrypt(message, key)
+        with pytest.raises(IntegrityMismatch) as err:
+            decrypt(ct, wrong)
+        plain_a, plain_b = deinterleave(ct.packed, lane_table(wrong, LANE_AFFINE, decrypt=True),
+                                        lane_table(wrong, LANE_CAESAR, decrypt=True))
+        indices = err.value.indices
+        assert indices == tuple(i for i, (x, y) in enumerate(zip(plain_a, plain_b)) if x != y)
+        assert type(indices) is tuple and indices and err.value.indices is indices
+        assert f"at {len(indices)} of {len(message)} symbols, first index {indices[0]}" in str(
+            err.value)
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is IntegrityMismatch
+        assert (str(copy), copy.indices) == (str(err.value), indices)
+        given = IntegrityMismatch("message", (3, 5))
+        assert given.indices == (3, 5) and IntegrityMismatch("message").indices == ()
 
     def test_single_bit_corruption_never_silent(self):
         key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
