@@ -30,10 +30,10 @@ see them, pickles and copies do not carry them, and they go with the
 ciphertext).  A later attack on the same object, such as
 caesar_lane_attack after brute_force, reads them back instead of
 deinterleaving and counting again; it still checks the lanes against its
-own mode.  With english_score and an equal min_score it also starts from
-the last search's answer: it scores only the shifts not searched before
-whose coverage bound reaches that best, or, if it searches only shifts
-searched before and the best is among them, scores none.
+own mode.  With english_score, an equal min_score and every shift of the
+last search among its own, it also starts from that search's answer: it
+scores only the shifts not searched before whose coverage bound reaches
+that best.
 """
 
 from __future__ import annotations
@@ -523,13 +523,12 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
     Each search from counts also writes its shifts as given, min_score and
     answer next to the counts, one tuple in one assignment, so a thread
     sees either the old record or the new.  A later search with an equal
-    min_score starts from that answer.  Every earlier shift outside its
-    tied scored below its best (or min_score).  So a search over fewer
-    shifts, each searched before, returns the answer at once if a tied
-    shift is among them (None if there was no answer).  A search over more,
-    such as caesar_lane_attack's range(n) after brute_force's agreeing
-    shifts, starts with that answer as its best so far and visits only the
-    shifts not searched before.  Any other search runs from the start.
+    min_score starts from that answer if it covers every shift searched
+    before, such as caesar_lane_attack's range(n) after brute_force's
+    agreeing shifts or a repeat of one search.  Every earlier shift outside
+    its tied scored below its best (or min_score), so the search starts
+    with that answer as its best so far and visits only the shifts not
+    searched before.  Any other search runs from the start.
 
     Any other scorer, or an empty lane, gets every shift's text in the
     order given, and neither reads nor writes the record.
@@ -547,14 +546,7 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
             folded, letters, letterish, last_shifts, last_min_score, answer = record
             if last_min_score == min_score:
                 searched = set(last_shifts)
-                if searched.issuperset(shifts):
-                    if answer is None:
-                        return None
-                    here = [s for s in answer[1] if s in shifts]
-                    if here:
-                        return answer[0], here
-                    searched = ()
-                elif len(shifts) == n or searched.issubset(shifts):  # n shifts are all of them
+                if len(shifts) == n or searched.issubset(shifts):  # n shifts are all of them
                     if answer is not None:
                         best, tied = answer[0], list(answer[1])
                 else:

@@ -46,22 +46,30 @@ class IntegrityMismatch(CipherError):
     """The two cipher lanes decrypted to different plaintexts.
 
     indices holds the symbol positions whose lanes disagree.  Given diff
-    instead, the lanes XORed byte by byte, it is built from diff's nonzero
-    bytes on first access and then kept, so an error nobody reads the
-    indices of does not build a tuple of up to one int per symbol.
+    instead, the lanes XORed byte by byte, indices is built from diff's
+    nonzero bytes on first access and then kept as a plain attribute, so an
+    error nobody reads the indices of does not build a tuple of up to one
+    int per symbol.  A pickle or copy builds them first and holds indices
+    alone, as one made before diff existed does.
     """
 
     def __init__(self, message: str, indices: tuple[int, ...] = (), *,
                  diff: bytes | None = None) -> None:
         super().__init__(message)
-        self._indices = indices if diff is None else None
-        self._diff = diff
+        if diff is None:
+            self.indices = indices
+        else:
+            self._diff = diff
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        if self._indices is None:
-            self._indices = tuple(compress(count(), self._diff))
-        return self._indices
+    def __getattr__(self, name):  # reached only while indices is unset
+        if name == "indices" and "_diff" in self.__dict__:
+            self.indices = tuple(compress(count(), self.__dict__.pop("_diff")))
+            return self.indices
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __reduce__(self):
+        self.indices  # build them, so the state holds indices and not diff
+        return super().__reduce__()
 
 
 class ParseError(CipherError):

@@ -1046,6 +1046,9 @@ def test_lane_attack_after_the_grid_attack_scores_only_shifts_not_searched(monke
     lane = caesar_lane_attack(byte_ct)
     assert len(calls) < on_a_fresh_copy
     assert lane.plaintext == ATTACK_MESSAGE
+    # Repeating the search covers no shift not searched before.
+    del calls[:]
+    assert caesar_lane_attack(byte_ct).plaintext == ATTACK_MESSAGE and calls == []
 
 
 class TestCaesarLaneAttack:

@@ -1,5 +1,6 @@
 """Unit tests for end-to-end encryption, key files and ciphertext files."""
 
+import copy
 import pickle
 import random
 import tracemalloc
@@ -206,6 +207,32 @@ class TestDecrypt:
         assert (str(copy), copy.indices) == (str(err.value), indices)
         given = IntegrityMismatch("message", (3, 5))
         assert given.indices == (3, 5) and IntegrityMismatch("message").indices == ()
+
+    def test_integrity_mismatch_indices_stay_a_plain_attribute(self):
+        key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
+        wrong = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=7)
+        for read_first in (False, True):
+            with pytest.raises(IntegrityMismatch) as err:
+                decrypt(encrypt(b"assign over the indices", key), wrong)
+            if read_first:
+                assert err.value.indices
+            err.value.indices = (7,)
+            assert err.value.indices == (7,)
+            assert pickle.loads(pickle.dumps(err.value)).indices == (7,)
+        with pytest.raises(IntegrityMismatch) as err:
+            decrypt(encrypt(b"copied before a read", key), wrong)
+        built = copy.copy(err.value).indices
+        assert built and copy.deepcopy(err.value).indices == built == err.value.indices
+        with pytest.raises(AttributeError):
+            err.value.no_such_field
+        # IntegrityMismatch("affine and caesar lanes disagree", (1, 4)) pickled
+        # when indices was set in __init__ as a plain attribute.
+        saved = (b"\x80\x04\x95f\x00\x00\x00\x00\x00\x00\x00\x8c\x11paddycrypt.errors\x94\x8c"
+                 b"\x11IntegrityMismatch\x94\x93\x94\x8c affine and caesar lanes disagree\x94"
+                 b"\x85\x94R\x94}\x94\x8c\x07indices\x94K\x01K\x04\x86\x94sb.")
+        loaded = pickle.loads(saved)
+        assert type(loaded) is IntegrityMismatch
+        assert (str(loaded), loaded.indices) == ("affine and caesar lanes disagree", (1, 4))
 
     def test_single_bit_corruption_never_silent(self):
         key = CipherParams(n=256, m=9, b=12, k=21, ra=5, rc=8)
