@@ -30,10 +30,10 @@ see them, pickles and copies do not carry them, and they go with the
 ciphertext).  A later attack on the same object, such as
 caesar_lane_attack after brute_force, reads them back instead of
 deinterleaving and counting again; it still checks the lanes against its
-own mode.  With english_score, an equal min_score and every shift of the
-last search among its own, it also starts from that search's answer: it
-scores only the shifts not searched before whose coverage bound reaches
-that best.
+own mode.  With english_score and an equal min_score, a search over all n
+shifts (caesar_lane_attack, or brute_force when every shift agrees) also
+starts from the last search's answer: it scores only the shifts not
+searched before whose coverage bound reaches that best.
 """
 
 from __future__ import annotations
@@ -522,13 +522,11 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
 
     Each search from counts also writes its shifts as given, min_score and
     answer next to the counts, one tuple in one assignment, so a thread
-    sees either the old record or the new.  A later search with an equal
-    min_score starts from that answer if it covers every shift searched
-    before, such as caesar_lane_attack's range(n) after brute_force's
-    agreeing shifts or a repeat of one search.  Every earlier shift outside
-    its tied scored below its best (or min_score), so the search starts
-    with that answer as its best so far and visits only the shifts not
-    searched before.  Any other search runs from the start.
+    sees either the old record or the new.  A later search over all n
+    shifts with an equal min_score starts from that answer: every earlier
+    shift outside its tied scored below its best (or min_score), so it
+    visits only the shifts not searched before.  Any other search runs
+    from the start.
 
     Any other scorer, or an empty lane, gets every shift's text in the
     order given, and neither reads nor writes the record.
@@ -544,13 +542,10 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
             folded, letters, letterish = _shift_counts(codes_b, n)
         else:
             folded, letters, letterish, last_shifts, last_min_score, answer = record
-            if last_min_score == min_score:
+            if last_min_score == min_score and len(shifts) == n:  # n shifts are all of them
                 searched = set(last_shifts)
-                if len(shifts) == n or searched.issubset(shifts):  # n shifts are all of them
-                    if answer is not None:
-                        best, tied = answer[0], list(answer[1])
-                else:
-                    searched = ()
+                if answer is not None:
+                    best, tied = answer[0], list(answer[1])
         if best is not None or searched:
             low = 0 if best is None else _coverage_floor(best, size)
             visits = [s for s in shifts if letterish[s] >= low and s not in searched]

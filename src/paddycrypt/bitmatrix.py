@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadLength, InvalidArgument, LengthMismatch, ParseError
+from .errors import BadLength, IndexOutOfRange, InvalidArgument, LengthMismatch, ParseError
 
 COLS = 8
 
@@ -184,11 +184,14 @@ class PermutationMap:
         """Ciphertext bit positions fed by plaintext symbol `index`.
 
         Sixteen positions: eight from its affine row, eight from its
-        caesar row.
+        caesar row.  Raises InvalidArgument unless index is an int, and
+        IndexOutOfRange, an IndexError, unless it is in [0, N).
         """
+        if type(index) is not int:
+            raise InvalidArgument(f"symbol index must be an int, got {type(index).__name__}")
         n_sym = self.size // 16
         if not 0 <= index < n_sym:
-            raise IndexError(f"symbol index {index} outside [0, {n_sym})")
+            raise IndexOutOfRange(f"symbol index {index} outside [0, {n_sym})")
         base_a = COLS * index
         base_b = COLS * (n_sym + index)
         return frozenset(

@@ -250,14 +250,7 @@ def main(argv=None) -> int:
     command = parser.commands.get(argv[0]) if argv else None
     args = None if command is None else _plain_parse(command, argv)
     if args is None:  # argparse reads the rest and words every usage error
-        if command is None:  # help, or a missing or unknown command
-            args = parser.parse_args(argv)
-        else:
-            # What parse_args does once it has read the command name,
-            # without the top-level pass over the whole argv.
-            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = parser.parse_args(argv)
         # Some argparse versions turn an explicit "--text=--" into []; the
         # value given was the literal "--".
         for name, value in vars(args).items():

@@ -14,6 +14,13 @@ class InvalidArgument(CipherError, ValueError):
     """
 
 
+class IndexOutOfRange(CipherError, IndexError):
+    """An index falls outside the sequence it indexes.
+
+    Also an IndexError, the type such indices raised before.
+    """
+
+
 class NoInverse(CipherError):
     """The affine multiplier has no inverse modulo the alphabet size."""
 

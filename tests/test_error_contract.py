@@ -32,7 +32,7 @@ from paddycrypt.ciphers import (
     mod_inverse,
 )
 from paddycrypt.cli import main
-from paddycrypt.errors import CipherError, InvalidArgument, InvalidKey
+from paddycrypt.errors import CipherError, IndexOutOfRange, InvalidArgument, InvalidKey
 from paddycrypt.pipeline import (
     KEY_FIELDS,
     CipherParams,
@@ -58,6 +58,11 @@ KEYS = (
     (lambda: build_permutation(-1), "symbol count must be >= 0, got -1"),
     (lambda: build_permutation("3"), "symbol count must be an int, got '3'"),
     (lambda: build_permutation(2.0), "symbol count must be an int, got 2.0"),
+    (lambda: build_permutation(2).symbol_positions("a"), "symbol index must be an int, got str"),
+    (lambda: build_permutation(2).symbol_positions(1.5), "symbol index must be an int, got float"),
+    (lambda: build_permutation(2).symbol_positions(None),
+     "symbol index must be an int, got NoneType"),
+    (lambda: build_permutation(2).symbol_positions(True), "symbol index must be an int, got bool"),
     (lambda: _check_caps(26, 1, 26), "cap_k must be in [1, 26), got 26"),
     (lambda: brute_force(encrypt(b"x", KEYS[0]), cap_b=0), "cap_b must be in [1, 256), got 0"),
     (lambda: alphabet_size("bogus"), "mode must be one of ['byte', 'letters'], got 'bogus'"),
@@ -148,8 +153,10 @@ KEYS = (
     (lambda: CipherText.from_hex(bytearray(b"abcdef")), "text must be a str, got bytearray"),
     (lambda: CipherText.from_bitstring(5), "text must be a str, got int"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "build_permutation-str",
-        "build_permutation-float", "_check_caps", "brute_force", "alphabet_size", "mod_inverse",
-        "mod_inverse-float-1.5", "mod_inverse-float-n", "mod_inverse-float-m", "lane_table",
+        "build_permutation-float", "symbol_positions-str", "symbol_positions-float",
+        "symbol_positions-None", "symbol_positions-bool", "_check_caps", "brute_force",
+        "alphabet_size", "mod_inverse", "mod_inverse-float-1.5", "mod_inverse-float-n",
+        "mod_inverse-float-m", "lane_table",
         "iterate_encrypt", "iterate_encrypt-str", "iterate_encrypt-None", "iterate_encrypt-float",
         "iterate_decrypt-str", "format_ciphertext", "encrypt-256", "encrypt-float", "encrypt-str",
         "encrypt-None", "encrypt-int", "frequency_profile-float", "frequency_profile-str",
@@ -176,6 +183,15 @@ def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message)
     assert isinstance(err.value, CipherError)
     assert isinstance(err.value, ValueError)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("index", [-1, 2, 10**30])
+def test_symbol_index_out_of_range_is_a_cipher_error_and_an_index_error(index):
+    with pytest.raises(IndexOutOfRange) as err:
+        build_permutation(2).symbol_positions(index)
+    assert isinstance(err.value, CipherError)
+    assert isinstance(err.value, IndexError)
+    assert str(err.value) == f"symbol index {index} outside [0, 2)"
 
 
 @pytest.mark.parametrize("fields,message", [
