@@ -81,11 +81,23 @@ ENGLISH_LETTER_FREQ = {
 _NOT_PRINTABLE = bytes(b for b in range(256) if not (32 <= b < 127 or b in (9, 10, 13)))
 
 
+def _not_bytes(data) -> InvalidArgument:
+    """The error for a scorer's data that is not bytes or a bytearray; the
+    scorers build it only once their bytes methods have failed."""
+    return InvalidArgument(f"data must be bytes or a bytearray, got {type(data).__name__}")
+
+
 def printable_ratio(data: bytes) -> float:
-    """Fraction of bytes that are printable ASCII (plus tab/newline/CR)."""
+    """Fraction of bytes that are printable ASCII (plus tab/newline/CR).
+    Raises InvalidArgument unless data is bytes or a bytearray."""
     if not data:
-        return 0.0
-    return len(data.translate(None, _NOT_PRINTABLE)) / len(data)
+        if isinstance(data, (bytes, bytearray)):
+            return 0.0
+        raise _not_bytes(data)
+    try:
+        return len(data.translate(None, _NOT_PRINTABLE)) / len(data)
+    except (AttributeError, TypeError):
+        raise _not_bytes(data) from None
 
 
 # Letters folded to lowercase, every other byte deleted: the argument pair
@@ -100,8 +112,12 @@ def chi_squared_english(data: bytes) -> float:
     """Chi-squared distance between the data's letter histogram and English.
 
     Case-insensitive; returns inf when the data contains no letters.
+    Raises InvalidArgument unless data is bytes or a bytearray.
     """
-    letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
+    try:
+        letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
+    except (AttributeError, TypeError):
+        raise _not_bytes(data) from None
     if not letters:
         return math.inf
     return _chi_squared([letters.count(code) for code in _LETTER_CODES], len(letters))
@@ -123,9 +139,13 @@ def english_score(data: bytes) -> float:
 
     Combines letter/space coverage with the letter-frequency chi-squared,
     so a case-shifted copy that turns spaces into junk scores below the
-    true plaintext.
+    true plaintext.  Raises InvalidArgument unless data is bytes or a
+    bytearray.
     """
-    letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
+    try:
+        letters = data.translate(_FOLD_TO_LOWER, _NON_LETTERS)
+    except (AttributeError, TypeError):
+        raise _not_bytes(data) from None
     counts = [letters.count(code) for code in _LETTER_CODES]
     return _score_counts(len(data), len(letters) + data.count(32), counts, None, len(letters))
 
@@ -176,8 +196,8 @@ def frequency_profile(data, n: int = 256) -> list[float]:
 
     Byte or symbol sequences profile over [0, n); CipherText inputs are
     profiled per bit (n=2), exposing the ciphertext's 0/1 balance.  Raises
-    InvalidArgument for an n that is not an int, or a value that is not an
-    int in [0, n).
+    InvalidArgument for an n that is not an int or is longer than a list
+    can be, or a value that is not an int in [0, n).
     """
     if isinstance(data, CipherText):
         ones = int.from_bytes(data.packed, "big").bit_count()
@@ -185,6 +205,8 @@ def frequency_profile(data, n: int = 256) -> list[float]:
     else:
         if type(n) is not int:
             raise InvalidArgument(f"n must be an int, got {n!r}")
+        if n > sys.maxsize:  # no list is that long
+            raise InvalidArgument(f"n must be <= {sys.maxsize}, got {n}")
         counts = [0] * n
         try:
             # Bytes hold only ints, so each distinct one is checked once, in
@@ -482,25 +504,6 @@ def _lanes(ciphertext: CipherText) -> tuple[bytes, bytes, dict]:
     return lanes
 
 
-def _coverage_floor(best, size: int) -> int:
-    """The least count c of letters and spaces whose coverage bound
-    c / size * size / size, as _best_shift computes it, is not below best:
-    0 when every count reaches it (best <= 0, or nan, which no bound is
-    below), size + 1 when none does (best > 1).  The bound rises with c and
-    is within a rounding of c / size, so ceil(best * size) is a step or two
-    from it at most."""
-    if best > 1:
-        return size + 1
-    if not best > 0:
-        return 0
-    low = math.ceil(best * size)
-    while low > 0 and (low - 1) / size * size / size >= best:
-        low -= 1
-    while low <= size and low / size * size / size < best:
-        low += 1
-    return low
-
-
 def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict):
     """(best, tied): the best score of a text lane_b - shift among the
     shifts (distinct, in [0, n)) that score at least min_score, and the
@@ -517,8 +520,10 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
     _score_counts with that score as the floor, so a shift that cannot
     reach it stops after a term or two; no text is built.  A score to reach
     before the first visit (min_score, or an earlier answer's best below)
-    cuts the shifts to those whose bound reaches it, by one integer
-    threshold from _coverage_floor, before they are sorted.
+    first drops the shifts with fewer than best * size - 1 letters and
+    spaces, before they are sorted: the bound is within three roundings of
+    count / size, so none that reaches best is dropped, and the break stops
+    at the first one kept that does not.  A nan best keeps every shift.
 
     Each search from counts also writes its shifts as given, min_score and
     answer next to the counts, one tuple in one assignment, so a thread
@@ -547,7 +552,10 @@ def _best_shift(codes_b: bytes, n: int, shifts, scorer, min_score, counts: dict)
                 if answer is not None:
                     best, tied = answer[0], list(answer[1])
         if best is not None or searched:
-            low = 0 if best is None else _coverage_floor(best, size)
+            # The least int count not below best * size - 1, as an int
+            # compares with the counts faster than a float does: max keeps -1
+            # for a nan or -inf best, and min caps inf.
+            low = -1 if best is None else math.ceil(max(-1, min(best * size - 1, size)))
             visits = [s for s in shifts if letterish[s] >= low and s not in searched]
         visits = sorted(visits, key=letterish.__getitem__, reverse=True)
     for s in visits:

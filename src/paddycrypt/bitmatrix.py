@@ -207,14 +207,17 @@ def build_permutation(n_symbols: int) -> PermutationMap:
     Built by pushing the lane-pair indices themselves through
     place/harvest, so apply() agrees with the matrix route by
     construction for any cell content.  Raises InvalidArgument unless N is
-    an int >= 0.
+    an int >= 0 whose 16N indices a list can hold.
     """
     if type(n_symbols) is not int:
         raise InvalidArgument(f"symbol count must be an int, got {n_symbols!r}")
     if n_symbols < 0:
         raise InvalidArgument(f"symbol count must be >= 0, got {n_symbols}")
     half = COLS * n_symbols
-    ids = list(range(2 * half))
+    try:
+        ids = list(range(2 * half))
+    except OverflowError:
+        raise InvalidArgument(f"symbol count too large to index, got {n_symbols}") from None
     inverse = harvest(place(ids[:half], ids[half:]))
     forward = [0] * len(ids)
     for position, lane_index in enumerate(inverse):

@@ -66,21 +66,35 @@ def mod_inverse(m: int, n: int) -> int:
         raise NoInverse(f"{m} has no inverse modulo {n} (gcd {gcd(m, n)})") from None
 
 
+def _check_symbol_args(n: int, **values: int) -> None:
+    """Raise InvalidArgument unless every value and n are ints (a bool is
+    not one) and n >= 2, as mod_inverse requires of m and its modulus."""
+    for name, value in (*values.items(), ("n", n)):
+        if type(value) is not int:
+            raise InvalidArgument(f"{name} must be an int, got {value!r}")
+    if n < 2:
+        raise InvalidArgument(f"n must be >= 2, got {n}")
+
+
 def affine_encrypt_symbol(p: int, m: int, b: int, n: int) -> int:
     """(m * p + b) mod n."""
+    _check_symbol_args(n, p=p, m=m, b=b)
     return (m * p + b) % n
 
 
 def affine_decrypt_symbol(c: int, m: int, b: int, n: int) -> int:
     """Inverse of affine_encrypt_symbol; requires gcd(m, n) == 1."""
+    _check_symbol_args(n, c=c, m=m, b=b)
     return (mod_inverse(m, n) * (c - b)) % n
 
 
 def caesar_encrypt_symbol(p: int, k: int, n: int) -> int:
+    _check_symbol_args(n, p=p, k=k)
     return (p + k) % n
 
 
 def caesar_decrypt_symbol(c: int, k: int, n: int) -> int:
+    _check_symbol_args(n, c=c, k=k)
     return (c - k) % n
 
 

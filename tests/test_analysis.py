@@ -130,9 +130,10 @@ scorer_inputs = st.one_of(st.binary(max_size=200), english_like)
 @settings(max_examples=500, deadline=None)
 @given(scorer_inputs)
 def test_scorers_match_reference_bit_for_bit(data):
-    assert chi_squared_english(data) == reference_chi_squared_english(data)
-    assert english_score(data) == reference_english_score(data)
-    assert printable_ratio(data) == reference_printable_ratio(data)
+    for text in (data, bytearray(data)):
+        assert chi_squared_english(text) == reference_chi_squared_english(data)
+        assert english_score(text) == reference_english_score(data)
+        assert printable_ratio(text) == reference_printable_ratio(data)
 
 
 @settings(max_examples=500, deadline=None)
@@ -169,21 +170,6 @@ def reference_shift_counts(codes_b, n):
         letters.append(sum(counts))
         letterish.append(sum(counts) + (text.count(32) if n == 256 else 0))
     return folded, letters, letterish
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.integers(1, 1 << 24), st.one_of(
-    st.floats(-1, 2), st.sampled_from([math.inf, -math.inf, math.nan, 0.0, 1.0]),
-    st.integers(1, 1 << 24).flatmap(lambda c: st.just(c / (1 << 24)))))
-def test_coverage_floor_is_the_least_count_whose_bound_reaches_best(size, best):
-    floor = analysis._coverage_floor(best, size)
-    assert 0 <= floor <= size + 1
-
-    def reaches(c):  # the float test _best_shift breaks on
-        return not c / size * size / size < best
-
-    assert floor == size + 1 or reaches(floor)
-    assert floor == 0 or not reaches(floor - 1)
 
 
 def shift_count_lanes():
@@ -884,6 +870,49 @@ def test_attacks_on_an_attacked_ciphertext_match_a_fresh_copy(mode, ct, cap_b, c
         fresh = CipherText.from_packed(ct.packed)
         assert stored_outcome(attack[0], shared, *attack[1:]) == stored_outcome(
             attack[0], fresh, *attack[1:])
+
+
+def coverage_bound(text):
+    """The coverage bound of a shift's text, as _best_shift breaks on it."""
+    size = len(text)
+    count = sum(1 for byte in text if 65 <= byte <= 90 or 97 <= byte <= 122 or byte == 32)
+    return count / size * size / size
+
+
+@settings(max_examples=200, deadline=None)
+@given(attack_inputs())
+def test_attacks_at_a_min_score_on_the_pre_filter_boundary_match_a_wrapped_scorer(inputs):
+    # min_score at each attack's own best score and at the coverage bound of
+    # its shift, and one float step either side of each.  The pre-filter
+    # must keep every shift whose bound reaches min_score, on a fresh
+    # ciphertext and after the other attack, which leaves its answer at
+    # that min_score for a search over all n shifts to start from.
+    mode, ct, cap_b, cap_k, _ = inputs
+
+    def wrapped(data):
+        return english_score(data)
+
+    def fresh():
+        return CipherText.from_packed(ct.packed)
+
+    grid, lane = (brute_force, {"cap_b": cap_b, "cap_k": cap_k}), (caesar_lane_attack, {})
+    for (attack, caps), (other, other_caps) in ((grid, lane), (lane, grid)):
+        try:
+            result = attack(fresh(), mode=mode, **caps)
+        except CipherError:
+            continue
+        edges = [result.score]
+        if result.plaintext:
+            edges.append(coverage_bound(result.plaintext))
+        for edge in edges:
+            for min_score in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+                expected = stored_outcome(attack, fresh(), wrapped, mode, caps, min_score)
+                assert stored_outcome(attack, fresh(), english_score, mode, caps,
+                                      min_score) == expected
+                shared = fresh()
+                stored_outcome(other, shared, english_score, mode, other_caps, min_score)
+                assert stored_outcome(attack, shared, english_score, mode, caps,
+                                      min_score) == expected
 
 
 LETTERS_MESSAGE = b"MEETMEATTHEUSUALPLACEATNOON"

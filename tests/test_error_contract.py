@@ -2,6 +2,7 @@
 the library and as exit code 1 from the CLI, never as a traceback."""
 
 import os
+import sys
 import tempfile
 
 import pytest
@@ -16,16 +17,23 @@ from paddycrypt.analysis import (
     avalanche_csv,
     brute_force,
     caesar_lane_attack,
+    chi_squared_english,
+    english_score,
     frequency_profile,
     is_degenerate_key,
     keyspace_size,
     mean_fraction,
+    printable_ratio,
 )
 from paddycrypt.bitmatrix import build_permutation, symbol_to_bits, symbols_to_bits
 from paddycrypt.ciphers import (
     LANE_AFFINE,
     LANE_CAESAR,
+    affine_decrypt_symbol,
+    affine_encrypt_symbol,
     alphabet_size,
+    caesar_decrypt_symbol,
+    caesar_encrypt_symbol,
     iterate_decrypt,
     iterate_encrypt,
     lane_table,
@@ -152,6 +160,30 @@ KEYS = (
     (lambda: CipherText.from_hex(b"zzzz"), "text must be a str, got bytes"),
     (lambda: CipherText.from_hex(bytearray(b"abcdef")), "text must be a str, got bytearray"),
     (lambda: CipherText.from_bitstring(5), "text must be a str, got int"),
+    # A scorer's text that is not bytes, empty or not.
+    (lambda: english_score(None), "data must be bytes or a bytearray, got NoneType"),
+    (lambda: english_score("text"), "data must be bytes or a bytearray, got str"),
+    (lambda: chi_squared_english([1]), "data must be bytes or a bytearray, got list"),
+    (lambda: chi_squared_english(""), "data must be bytes or a bytearray, got str"),
+    (lambda: printable_ratio(None), "data must be bytes or a bytearray, got NoneType"),
+    (lambda: printable_ratio([]), "data must be bytes or a bytearray, got list"),
+    (lambda: printable_ratio(""), "data must be bytes or a bytearray, got str"),
+    (lambda: printable_ratio("text"), "data must be bytes or a bytearray, got str"),
+    (lambda: printable_ratio([1]), "data must be bytes or a bytearray, got list"),
+    # A symbol, key part or n that is not an int (a bool is not one), and
+    # an n below 2.
+    (lambda: affine_encrypt_symbol(1.5, 3, 5, 256), "p must be an int, got 1.5"),
+    (lambda: affine_encrypt_symbol("a", 3, 5, 256), "p must be an int, got 'a'"),
+    (lambda: affine_encrypt_symbol(1, 3, None, 256), "b must be an int, got None"),
+    (lambda: affine_decrypt_symbol(True, 3, 5, 256), "c must be an int, got True"),
+    (lambda: affine_decrypt_symbol(1, 3, 5, 256.0), "n must be an int, got 256.0"),
+    (lambda: caesar_encrypt_symbol(1, 2, 0), "n must be >= 2, got 0"),
+    (lambda: caesar_encrypt_symbol(1, 2.5, 26), "k must be an int, got 2.5"),
+    (lambda: caesar_decrypt_symbol(1, 2, 2.0), "n must be an int, got 2.0"),
+    (lambda: caesar_decrypt_symbol(1, 2, 1), "n must be >= 2, got 1"),
+    # Counts past what a list can hold.
+    (lambda: build_permutation(10**30), f"symbol count too large to index, got {10**30}"),
+    (lambda: frequency_profile(b"a", 10**30), f"n must be <= {sys.maxsize}, got {10**30}"),
 ], ids=["symbol_to_bits", "symbols_to_bits", "build_permutation", "build_permutation-str",
         "build_permutation-float", "symbol_positions-str", "symbol_positions-float",
         "symbol_positions-None", "symbol_positions-bool", "_check_caps", "brute_force",
@@ -176,7 +208,13 @@ KEYS = (
         "avalanche_csv-fraction-None", "from_hex-None",
         "from_hex-bytes", "from_hex-memoryview", "from_hex-bytes-odd", "from_hex-bytes-bad-digit",
         "from_hex-bytearray",
-        "from_bitstring-int"])
+        "from_bitstring-int", "english_score-None", "english_score-str",
+        "chi_squared_english-list", "chi_squared_english-str-empty", "printable_ratio-None",
+        "printable_ratio-list-empty", "printable_ratio-str-empty", "printable_ratio-str",
+        "printable_ratio-list", "affine_encrypt_symbol-float", "affine_encrypt_symbol-str",
+        "affine_encrypt_symbol-None", "affine_decrypt_symbol-bool", "affine_decrypt_symbol-float-n",
+        "caesar_encrypt_symbol-n-0", "caesar_encrypt_symbol-float", "caesar_decrypt_symbol-float-n",
+        "caesar_decrypt_symbol-n-1", "build_permutation-huge", "frequency_profile-huge-n"])
 def test_bad_arguments_raise_a_cipher_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgument) as err:
         call()
